@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["theta_grid", "trapezoid_mean", "gauss_legendre_panels", "radial_integral"]
+__all__ = [
+    "theta_grid", "ring_grid", "exact_ring_size", "gauss_legendre_panels", "radial_integral"
+]
 
 
 def theta_grid(M: int) -> np.ndarray:
@@ -14,16 +17,33 @@ def theta_grid(M: int) -> np.ndarray:
     return np.arange(M) * (2.0 * np.pi / M)
 
 
-def trapezoid_mean(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Mean over a periodic uniform grid (exact on trig polynomials of degree < M)."""
-    return np.mean(values, axis=axis)
+def ring_grid(rho, M: int) -> np.ndarray:
+    """Points rho e^{i theta} at the M trapezoid nodes, shape rho.shape + (M,).
+
+    rho is a scalar or an array of radii; rho = 1 gives the unit circle.
+    """
+    return np.multiply.outer(rho, np.exp(1j * theta_grid(M)))
+
+
+def exact_ring_size(order: int) -> int:
+    """Ring size 4N + 8 from which trapezoid means of quadratic quantities
+    (degree 2N on a circle) of a degree-N table are exact, with margin."""
+    return 4 * order + 8
+
+
+@lru_cache(maxsize=None)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def gauss_legendre_panels(
     lo: float, hi: float, panels: int, order: int = 16
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [lo, hi] split into equal panels."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre(order)
     edges = np.linspace(lo, hi, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0

@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping, TextIO
+from typing import Mapping, TextIO
 
 import numpy as np
 
@@ -110,39 +110,6 @@ class AnnulusMap:
         """(n, a_n, b_n) as parallel arrays, n sorted ascending."""
         return self._ns, self._a, self._b  # type: ignore[attr-defined]
 
-    def coefficient_scale(self) -> float:
-        """l1 norm of all coefficients, used for relative tolerances."""
-        _, a, b = self.mode_arrays()
-        return float(
-            np.sum(np.abs(a)) + np.sum(np.abs(b)) + abs(self.log_a0) + abs(self.log_b0)
-        )
-
-    @classmethod
-    def from_inner_radius(
-        cls,
-        r: float,
-        R: float,
-        log_a0: complex = 0.0,
-        log_b0: complex = 0.0,
-        terms: Mapping[int, tuple[complex, complex]] | None = None,
-    ) -> "AnnulusMap":
-        """Rescale a table given on A(r, R) to the normalized A(1, R/r).
-
-        Substitutes z -> r*z: a_n picks up r^n, b_n picks up r^{-n}, and the
-        log term sheds a0*log(r) into the constant.
-        """
-        if not (0 < r < R):
-            raise ValueError("need 0 < r < R")
-        new_terms = {
-            n: (a * r**n, b * r ** (-n)) for n, (a, b) in (terms or {}).items()
-        }
-        return cls(
-            R=R / r,
-            log_a0=log_a0,
-            log_b0=log_b0 + log_a0 * math.log(r),
-            terms=new_terms,
-        )
-
 
 @dataclass(frozen=True)
 class PolarJet:
@@ -155,6 +122,17 @@ class PolarJet:
     d_zbar: complex
     jacobian: float
     grad_norm_sq: float
+
+
+def _check_radius(
+    m: AnnulusMap, rho: float, interval: str = "[1, R)", name: str = "rho"
+) -> None:
+    """Raise AnnulusDomainError unless rho lies in interval, e.g. "(1, R]"."""
+    lo_ok = rho >= 1.0 if interval[0] == "[" else rho > 1.0
+    hi_ok = rho <= m.R if interval[-1] == "]" else rho < m.R
+    if not (lo_ok and hi_ok):
+        lo, hi = interval[0], interval[-1]
+        raise AnnulusDomainError(f"{name}={rho} outside {lo}1, {m.R}{hi}")
 
 
 def _check_domain(m: AnnulusMap, rho: np.ndarray) -> None:
@@ -183,15 +161,12 @@ def evaluate(m: AnnulusMap, z, check_domain: bool = True) -> PolarJet:
     d_theta = np.zeros_like(z_arr)
     if ns.size:
         # shape (k, ...) broadcasting modes against the point grid
-        rp = rho[None, ...] ** ns.reshape((-1,) + (1,) * rho.ndim)
-        rm = rho[None, ...] ** (-ns.reshape((-1,) + (1,) * rho.ndim))
+        sh = (-1,) + (1,) * rho.ndim
+        nsb, ab, bb = ns.reshape(sh), a.reshape(sh), b.reshape(sh)
+        rp = rho[None, ...] ** nsb
+        rm = rho[None, ...] ** (-nsb)
         ph = np.exp(1j * np.multiply.outer(ns, theta))
-        radial = a.reshape(rp.shape[:1] + (1,) * rho.ndim) * rp + b.reshape(
-            rp.shape[:1] + (1,) * rho.ndim
-        ) * rm
-        nsb = ns.reshape(rp.shape[:1] + (1,) * rho.ndim)
-        ab = a.reshape(nsb.shape)
-        bb = b.reshape(nsb.shape)
+        radial = ab * rp + bb * rm
         value = value + np.sum(radial * ph, axis=0)
         d_rho = d_rho + np.sum(nsb * (ab * rp - bb * rm) / rho * ph, axis=0)
         d_theta = d_theta + np.sum(1j * nsb * radial * ph, axis=0)
@@ -215,10 +190,29 @@ def evaluate(m: AnnulusMap, z, check_domain: bool = True) -> PolarJet:
     return PolarJet(value, d_rho, d_theta, d_z, d_zbar, jac, grad)
 
 
+def _winding_number(values: np.ndarray) -> tuple[int, float]:
+    """(degree, min |v|) of a closed curve sampled on a periodic grid.
+
+    The degree is the sum of the principal argument increments between
+    neighbouring samples, over 2 pi; a curve that passes through 0 at a
+    sample has no degree and reports (0, min |v|).
+    """
+    min_mod = float(np.min(np.abs(values)))
+    if not min_mod > 0.0:
+        return 0, min_mod
+    args = np.angle(np.append(values, values[0]))
+    total = float(np.sum(np.mod(np.diff(args) + np.pi, 2.0 * np.pi) - np.pi))
+    return int(round(total / (2.0 * math.pi))), min_mod
+
+
+def _is_unimodular(values: np.ndarray, tol: float = 1e-9) -> bool:
+    """max ||v| - 1| <= tol over the samples."""
+    return bool(np.max(np.abs(np.abs(values) - 1.0)) <= tol)
+
+
 def trace(m: AnnulusMap, rho: float) -> dict[int, complex]:
     """Fourier coefficients of theta -> h(rho e^{i theta})."""
-    if not (1.0 <= rho <= m.R):
-        raise AnnulusDomainError(f"rho={rho} outside [1, {m.R}]")
+    _check_radius(m, rho, "[1, R]")
     out: dict[int, complex] = {0: m.log_a0 * math.log(rho) + m.log_b0}
     for n, (a, b) in m.terms.items():
         out[n] = a * rho**n + b * rho ** (-n)
@@ -248,13 +242,10 @@ def solve_dirichlet(
             log_a0 = (cout - cin) / math.log(R)
             continue
         t = R ** (-abs(n))  # always <= 1: no overflow, no cancellation
-        if n > 0:
-            a = (cout * t - cin * t * t) / (1.0 - t * t)
-            b = (cin - cout * t) / (1.0 - t * t)
-        else:
-            b = (cout * t - cin * t * t) / (1.0 - t * t)
-            a = (cin - cout * t) / (1.0 - t * t)
-        terms[n] = (a, b)
+        # the coefficient of R^{|n|} (a_n for n > 0, b_n for n < 0), then the other
+        grow = (cout * t - cin * t * t) / (1.0 - t * t)
+        decay = (cin - cout * t) / (1.0 - t * t)
+        terms[n] = (grow, decay) if n > 0 else (decay, grow)
     return AnnulusMap(R=R, log_a0=log_a0, log_b0=log_b0, terms=terms)
 
 
@@ -335,12 +326,13 @@ def write_ahm(m: AnnulusMap, fh: TextIO) -> None:
         )
 
 
+def _tokens(fh: TextIO) -> list[list[str]]:
+    """Fields of each nonblank line of a coefficient file, '#' comments removed."""
+    return [body.split() for raw in fh if (body := raw.split("#", 1)[0].strip())]
+
+
 def read_ahm(fh: TextIO) -> AnnulusMap:
-    lines: list[list[str]] = []
-    for raw in fh:
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append(body.split())
+    lines = _tokens(fh)
     if not lines or lines[0] != ["AHM", "1"]:
         raise AhmFormatError("missing 'AHM 1' header")
     if len(lines) < 3 or lines[1][0] != "R" or lines[2][0] != "LOG":

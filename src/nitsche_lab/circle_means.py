@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .annulus_core import AnnulusMap, AnnulusDomainError, evaluate, is_conformal
+from .annulus_core import (
+    AnnulusDomainError, AnnulusMap, _check_radius, evaluate, is_conformal)
 
 __all__ = [
     "RadialProfile",
@@ -62,15 +63,15 @@ def _mode_sums(m: AnnulusMap, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U, U_dot, U_ddot
 
 
-def _check_rho(m: AnnulusMap, rho: float, closed_right: bool = False) -> None:
-    hi_ok = rho <= m.R if closed_right else rho < m.R
-    if not (1.0 <= rho and hi_ok):
-        raise AnnulusDomainError(f"rho={rho} outside [1, {m.R}{']' if closed_right else ')'}")
+def _operator_L1(rho, U, U_dot, U_ddot):
+    """L1 = U'' + (3 - rho^2)/(rho s) U' - 8 U/s^2 with s = rho^2 + 1."""
+    s = rho * rho + 1.0
+    return U_ddot + (3.0 - rho * rho) / (rho * s) * U_dot - 8.0 * U / s**2
 
 
 def means_closed_form(m: AnnulusMap, rho: float) -> tuple[float, float, float]:
     """(U, U_dot, U_ddot) at rho in [1, R), exact finite sums."""
-    _check_rho(m, rho)
+    _check_radius(m, rho)
     U, Ud, Udd = _mode_sums(m, rho)
     return float(U), float(Ud), float(Udd)
 
@@ -88,11 +89,10 @@ def means_quadrature(m: AnnulusMap, rho: float, M: int) -> QuadratureMean:
 
     Exact (to rounding) once M exceeds the degree of |h|^2, i.e. M >= 4N + 8.
     """
-    _check_rho(m, rho)
-    theta = _quad.theta_grid(M)
-    jet = evaluate(m, rho * np.exp(1j * theta))
+    _check_radius(m, rho)
+    jet = evaluate(m, _quad.ring_grid(rho, M))
     value = float(np.mean(np.abs(jet.value) ** 2))
-    return QuadratureMean(value=value, exact=M >= 4 * m.order + 8)
+    return QuadratureMean(value=value, exact=M >= _quad.exact_ring_size(m.order))
 
 
 def initial_speed(m: AnnulusMap) -> float:
@@ -105,8 +105,7 @@ def initial_speed(m: AnnulusMap) -> float:
 
 def energy_green(m: AnnulusMap, rho: float) -> float:
     """Dirichlet energy over A(1, rho) via the Green identity pi*(rho U'(rho) - U'(1))."""
-    if not (1.0 < rho <= m.R):
-        raise AnnulusDomainError(f"rho={rho} outside (1, {m.R}]")
+    _check_radius(m, rho, "(1, R]")
     _, Ud_rho, _ = _mode_sums(m, rho)
     _, Ud_1, _ = _mode_sums(m, 1.0)
     return float(math.pi * (rho * Ud_rho - Ud_1))
@@ -116,14 +115,11 @@ def energy_quadrature(
     m: AnnulusMap, rho: float, M: int | None = None, rtol: float = 1e-10
 ) -> float:
     """Independent 2-D quadrature of the energy: radial Gauss-Legendre x angular trapezoid."""
-    if not (1.0 < rho <= m.R):
-        raise AnnulusDomainError(f"rho={rho} outside (1, {m.R}]")
-    M = M or max(4 * m.order + 8, 16)
-    theta = _quad.theta_grid(M)
+    _check_radius(m, rho, "(1, R]")
+    M = M or max(_quad.exact_ring_size(m.order), 16)
 
     def ring(r: np.ndarray) -> np.ndarray:
-        z = r[:, None] * np.exp(1j * theta)[None, :]
-        jet = evaluate(m, z)
+        jet = evaluate(m, _quad.ring_grid(r, M))
         return 2.0 * np.pi * np.mean(jet.grad_norm_sq, axis=1) * r
 
     return _quad.radial_integral(ring, 1.0, rho, rtol=rtol)
@@ -136,21 +132,21 @@ def operator_L(m: AnnulusMap, rho: float, M: int | None = None) -> tuple[float, 
     L2: divergence form (rho^2+1)/rho^3 d/drho [rho^3 d/drho (U/(rho^2+1))],
         expanded analytically.
     L3: angular trapezoid of the first-derivative-only integrand.
+
+    rho may be any radius in [1, R), the inner circle included.
     """
-    if not (1.0 < rho < m.R):
-        raise AnnulusDomainError(f"rho={rho} outside (1, {m.R})")
+    _check_radius(m, rho)
     U, Ud, Udd = _mode_sums(m, rho)
     s = rho * rho + 1.0
-    L1 = float(Udd + (3.0 - rho * rho) / (rho * s) * Ud - 8.0 * U / s**2)
+    L1 = float(_operator_L1(rho, U, Ud, Udd))
 
     # d/drho (U/s) and its derivative, kept in product-rule pieces
     V1 = Ud / s - 2.0 * rho * U / s**2
     V2 = Udd / s - 4.0 * rho * Ud / s**2 + (8.0 * rho * rho / s**3 - 2.0 / s**2) * U
     L2 = float((s / rho**3) * (3.0 * rho**2 * V1 + rho**3 * V2))
 
-    M = M or max(4 * m.order + 8, 16)
-    theta = _quad.theta_grid(M)
-    jet = evaluate(m, rho * np.exp(1j * theta))
+    M = M or max(_quad.exact_ring_size(m.order), 16)
+    jet = evaluate(m, _quad.ring_grid(rho, M))
     sq_rho = np.abs(jet.d_rho) ** 2
     sq_theta = np.abs(jet.d_theta) ** 2
     habs2_rho = 2.0 * (np.conj(jet.value) * jet.d_rho).real
@@ -172,8 +168,7 @@ def operator_L_conformal(m: AnnulusMap, rho: float, tol: float = 1e-12) -> float
     """
     if not is_conformal(m, tol):
         raise ValueError("operator_L_conformal requires a conformal (holomorphic) table")
-    if not (1.0 < rho < m.R):
-        raise AnnulusDomainError(f"rho={rho} outside (1, {m.R})")
+    _check_radius(m, rho, "(1, R)")
     ns, a, _ = m.mode_arrays()
     if not ns.size:
         return 0.0
@@ -199,13 +194,11 @@ def radial_profile(m: AnnulusMap, rho_grid: np.ndarray) -> RadialProfile:
     if rho_grid[0] < 1.0 or rho_grid[-1] >= m.R:
         raise AnnulusDomainError("rho grid must lie in [1, R)")
     U, Ud, Udd = _mode_sums(m, rho_grid)
-    s = rho_grid**2 + 1.0
-    L = Udd + (3.0 - rho_grid**2) / (rho_grid * s) * Ud - 8.0 * U / s**2
     return RadialProfile(
         rho_grid=rho_grid,
         U=U,
         U_dot=Ud,
         U_ddot=Udd,
         mean_radius=np.sqrt(U),
-        L_of_U=L,
+        L_of_U=_operator_L1(rho_grid, U, Ud, Udd),
     )

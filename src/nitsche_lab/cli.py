@@ -1,9 +1,11 @@
 """Command-line front end: map construction, sweeps, and batch verification.
 
 Subcommands: means, verify, construct, minsurf, identity, qforms, chain,
-example51.  Exit codes: 0 success, 1 failed verification check, 2 argument
-or file parse error, 3 domain error, 4 existence bound violated (deficit
-printed), 5 lift rejected.
+example51; each takes the parsed argparse namespace.  Exit codes: 0
+success, 1 failed verification check, 2 argument or file parse error,
+3 domain error (a radius outside the annulus, or a value outside the
+floating-point range), 4 existence bound violated (deficit printed),
+5 lift rejected.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,13 @@ from .annulus_core import (
     read_ahm,
     write_ahm,
 )
-from .circle_means import _mode_sums, energy_green, energy_quadrature
+from .circle_means import (
+    _mode_sums,
+    energy_green,
+    energy_quadrature,
+    operator_L,
+    radial_profile,
+)
 from .disk_maps import (
     jacobian_energy_chain,
     lemma_functional,
@@ -60,7 +67,7 @@ from .quadratic_forms import (
     qform_decomposition,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -68,25 +75,6 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_DEFICIT = 4
 EXIT_NO_LIFT = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; the seed fully determines any randomized run."""
-
-    command: str
-    map_path: str | None
-    out_path: str | None
-    R: float | None
-    R_star: float | None
-    a: float | None
-    lam: float | None
-    v: float | None
-    rho_grid: tuple[float, float, int] | None
-    quad: tuple[int, int]
-    tol: float
-    seed: int
-    example51: bool
 
 
 def _parse_rho_grid(text: str) -> tuple[float, float, int]:
@@ -117,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ])
     p.add_argument("--map", dest="map_path", help="AHM coefficient file")
     p.add_argument("--out", dest="out_path", help="output file (CSV or AHM)")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rho-grid", type=_parse_rho_grid, default=None,
                    metavar="LO:HI:STEPS")
@@ -131,25 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        map_path=args.map_path,
-        out_path=args.out_path,
-        R=args.R,
-        R_star=args.R_star,
-        a=args.a,
-        lam=args.lam,
-        v=args.v,
-        rho_grid=args.rho_grid,
-        quad=args.quad,
-        tol=args.tol,
-        seed=args.seed,
-        example51=args.example51,
-    )
-
-
-def _load_map(cfg: RunConfig) -> AnnulusMap:
+def _load_map(cfg: argparse.Namespace) -> AnnulusMap:
     if cfg.map_path:
         with open(cfg.map_path, "r", encoding="utf-8") as fh:
             return read_ahm(fh)
@@ -166,7 +135,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_text(cfg: RunConfig, text: str) -> None:
+def _write_text(cfg: argparse.Namespace, text: str) -> None:
     """Write to --out atomically, or to stdout when no path is given."""
     if cfg.out_path is None:
         sys.stdout.write(text)
@@ -189,54 +158,28 @@ def _csv(header: list[str], rows: list[list[float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rho_values(cfg: RunConfig, m: AnnulusMap) -> np.ndarray:
-    if cfg.rho_grid is not None:
-        lo, hi, steps = cfg.rho_grid
-    else:
-        lo, hi, steps = 1.0, 0.995 * m.R, 50
+def _rho_values(cfg: argparse.Namespace, m: AnnulusMap) -> np.ndarray:
+    lo, hi, steps = cfg.rho_grid or (1.0, 0.995 * m.R, 50)
     if lo < 1.0 or hi >= m.R:
         raise AnnulusDomainError(f"rho grid [{lo}, {hi}] outside [1, {m.R})")
     return np.linspace(lo, hi, steps)
 
 
-def _operator_L_any(m: AnnulusMap, rho: float, M: int) -> tuple[float, float]:
-    """(L1, L3) valid at rho = 1 too, unlike the interior-only library call."""
-    U, Ud, Udd = _mode_sums(m, rho)
-    s = rho * rho + 1.0
-    L1 = float(Udd + (3.0 - rho * rho) / (rho * s) * Ud - 8.0 * U / s**2)
-    theta = _quad.theta_grid(M)
-    jet = evaluate(m, rho * np.exp(1j * theta))
-    habs2_rho = 2.0 * (np.conj(jet.value) * jet.d_rho).real
-    integrand = (
-        2.0 * np.abs(jet.d_rho) ** 2
-        + 2.0 * np.abs(jet.d_theta) ** 2 / rho**2
-        - 2.0 * (rho * rho - 1.0) / (rho * s) * habs2_rho
-        - 8.0 * np.abs(jet.value) ** 2 / s**2
-    )
-    return L1, float(np.mean(integrand))
-
-
-def cmd_means(cfg: RunConfig) -> int:
+def cmd_means(cfg: argparse.Namespace) -> int:
     m = _load_map(cfg)
-    rhos = _rho_values(cfg, m)
-    M = max(cfg.quad[0], 4 * m.order + 8)
-    rows = []
-    for rho in rhos:
-        U, Ud, Udd = _mode_sums(m, float(rho))
-        L1, L3 = _operator_L_any(m, float(rho), M)
-        floor = 0.5 * (rho + 1.0 / rho)
-        rows.append([
-            float(rho), float(U), float(Ud), float(Udd),
-            math.sqrt(float(U)), L1, L3, float(floor),
-            math.sqrt(float(U)) - float(floor),
-        ])
+    prof = radial_profile(m, _rho_values(cfg, m))
+    M = max(cfg.quad[0], _quad.exact_ring_size(m.order))
+    L3 = [operator_L(m, rho, M)[2] for rho in prof.rho_grid.tolist()]
+    floor = 0.5 * (prof.rho_grid + 1.0 / prof.rho_grid)
+    cols = (prof.rho_grid, prof.U, prof.U_dot, prof.U_ddot, prof.mean_radius,
+            prof.L_of_U, np.array(L3), floor, prof.mean_radius - floor)
     _write_text(cfg, _csv(
         ["rho", "U", "U_dot", "U_ddot", "mean_radius",
-         "L1", "L3", "nitsche_floor", "margin"], rows))
+         "L1", "L3", "nitsche_floor", "margin"], np.column_stack(cols).tolist()))
     return EXIT_OK
 
 
-def cmd_identity(cfg: RunConfig) -> int:
+def cmd_identity(cfg: argparse.Namespace) -> int:
     m = _load_map(cfg)
     if cfg.rho_grid is not None:
         lo, hi, steps = cfg.rho_grid
@@ -256,11 +199,8 @@ def cmd_identity(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_qforms(cfg: RunConfig) -> int:
-    if cfg.rho_grid is not None:
-        lo, hi, steps = cfg.rho_grid
-    else:
-        lo, hi, steps = SQRT7, 10.0, 30
+def cmd_qforms(cfg: argparse.Namespace) -> int:
+    lo, hi, steps = cfg.rho_grid or (SQRT7, 10.0, 30)
     rows = []
     for rho in np.linspace(lo, hi, steps):
         for n in range(-10, 11):
@@ -270,7 +210,7 @@ def cmd_qforms(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_construct(cfg: RunConfig) -> int:
+def cmd_construct(cfg: argparse.Namespace) -> int:
     if cfg.R is None or cfg.R_star is None:
         print("construct requires --R and --Rstar", file=sys.stderr)
         return EXIT_PARSE
@@ -297,22 +237,17 @@ def cmd_construct(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_minsurf(cfg: RunConfig) -> int:
+def cmd_minsurf(cfg: argparse.Namespace) -> int:
     m = _load_map(cfg)
     try:
         res = lift(m)
     except (NoLiftError, BranchError) as exc:
         print(f"lift rejected: {exc}", file=sys.stderr)
         return EXIT_NO_LIFT
-    rows = []
-    for i, rho in enumerate(res.rho_grid):
-        jet = evaluate(m, rho * np.exp(1j * res.theta_grid))
-        for j, theta in enumerate(res.theta_grid):
-            rows.append([
-                float(rho), float(theta),
-                float(jet.value[j].real), float(jet.value[j].imag),
-                float(res.w[i, j]), res.conformality_residual,
-            ])
+    h = evaluate(m, _quad.ring_grid(res.rho_grid, res.theta_grid.size)).value
+    rho, theta = np.meshgrid(res.rho_grid, res.theta_grid, indexing="ij")
+    residual = np.full_like(res.w, res.conformality_residual)
+    cols = [x.ravel() for x in (rho, theta, h.real, h.imag, res.w, residual)]
     U_R, _, _ = _mode_sums(m, m.R)
     U_1, _, _ = _mode_sums(m, 1.0)
     ratio = math.sqrt(float(U_R) / float(U_1))
@@ -320,11 +255,12 @@ def cmd_minsurf(cfg: RunConfig) -> int:
     print(f"modulus {_fmt(math.log(m.R))} catenoid_cap "
           f"{_fmt(catenoid_modulus(ratio))} slack {_fmt(slack)} "
           f"{'OK' if holds else 'VIOLATED'}")
-    _write_text(cfg, _csv(["rho", "theta", "u", "v", "w", "residual"], rows))
+    _write_text(cfg, _csv(["rho", "theta", "u", "v", "w", "residual"],
+                           np.column_stack(cols).tolist()))
     return EXIT_OK
 
 
-def cmd_chain(cfg: RunConfig) -> int:
+def cmd_chain(cfg: argparse.Namespace) -> int:
     rng = np.random.default_rng(cfg.seed)
     count = max(cfg.quad[1], 1)
     rows = []
@@ -343,16 +279,13 @@ def cmd_chain(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_example51(cfg: RunConfig) -> int:
+def cmd_example51(cfg: argparse.Namespace) -> int:
     a = cfg.a if cfg.a is not None else 0.5
     m = example_51_map(a, cfg.lam, R=cfg.R or 1000.0)
     cond = check_initial_conditions(m)
     print(f"I {cond.I} II {cond.II} III {cond.III}")
     print(f"mean_jacobian {_fmt(cond.mean_jacobian_at_1)}")
-    if cfg.rho_grid is not None:
-        lo, hi, steps = cfg.rho_grid
-    else:
-        lo, hi, steps = 1.0, 20.0, 100
+    lo, hi, steps = cfg.rho_grid or (1.0, 20.0, 100)
     rows = []
     for sigma in np.linspace(lo, hi, steps):
         U, _, _ = _mode_sums(m, float(sigma))
@@ -364,7 +297,7 @@ def cmd_example51(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
+def _verify_checks(cfg: argparse.Namespace) -> list[tuple[str, float, float, bool]]:
     """The registered batch checks: (name, value, threshold, passed).
 
     Values are defined so that a check passes iff value <= threshold.
@@ -456,7 +389,7 @@ def _verify_checks(cfg: RunConfig) -> list[tuple[str, float, float, bool]]:
     return checks
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     checks = _verify_checks(cfg)
     lines = []
     all_ok = True
@@ -490,11 +423,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
-    cfg = _config(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
-    except (AhmFormatError, FileNotFoundError, ValueError) as exc:
-        if isinstance(exc, AnnulusDomainError):
+        return _COMMANDS[args.command](args)
+    except (AhmFormatError, FileNotFoundError, ValueError, ArithmeticError) as exc:
+        if isinstance(exc, (AnnulusDomainError, ArithmeticError)):
             print(f"domain error: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
         print(f"error: {exc}", file=sys.stderr)

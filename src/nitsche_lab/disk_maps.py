@@ -22,7 +22,7 @@ from typing import Mapping, TextIO
 import numpy as np
 
 from . import _quad
-from .annulus_core import AnnulusMap
+from .annulus_core import AnnulusMap, _tokens
 
 __all__ = [
     "BoundaryHomeo",
@@ -59,6 +59,12 @@ def _one_minus_cos(x: np.ndarray) -> np.ndarray:
     return 2.0 * np.sin(0.5 * x) ** 2
 
 
+def _circle_series(theta, ns: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] e^{i ns[k] theta} at each angle of theta."""
+    theta = np.asarray(theta, dtype=float)
+    return np.exp(1j * np.multiply.outer(theta, ns)) @ coeffs
+
+
 @dataclass(frozen=True)
 class BoundaryHomeo:
     """Increasing degree-1 circle map xi(theta) = theta + zeta(theta).
@@ -93,21 +99,13 @@ class BoundaryHomeo:
         return int(ns[-1]) if ns.size else 0
 
     def zeta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
         ns, zn = self._ns, self._zn  # type: ignore[attr-defined]
-        out = np.full_like(theta, float(self.zeta_coeffs.get(0, 0.0).real))
-        if ns.size:
-            ph = np.exp(1j * np.multiply.outer(theta, ns))
-            out = out + 2.0 * (ph @ zn).real
-        return out
+        z0 = self.zeta_coeffs.get(0, 0.0).real
+        return z0 + 2.0 * _circle_series(theta, ns, zn).real
 
     def zeta_prime(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
         ns, zn = self._ns, self._zn  # type: ignore[attr-defined]
-        if not ns.size:
-            return np.zeros_like(theta)
-        ph = np.exp(1j * np.multiply.outer(theta, ns))
-        return 2.0 * (ph @ (1j * ns * zn)).real
+        return 2.0 * _circle_series(theta, ns, 1j * ns * zn).real
 
     def xi(self, theta) -> np.ndarray:
         return np.asarray(theta, dtype=float) + self.zeta(theta)
@@ -162,22 +160,16 @@ class DiskMap:
         return out
 
     def boundary_trace(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
         ns, c = self.mode_arrays()
-        ph = np.exp(1j * np.multiply.outer(theta, ns))
-        return ph @ c
+        return _circle_series(theta, ns, c)
 
     def boundary_d_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
         ns, c = self.mode_arrays()
-        ph = np.exp(1j * np.multiply.outer(theta, ns))
-        return ph @ (1j * ns * c)
+        return _circle_series(theta, ns, 1j * ns * c)
 
     def boundary_d_rho(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
         ns, c = self.mode_arrays()
-        ph = np.exp(1j * np.multiply.outer(theta, ns))
-        return ph @ (np.abs(ns) * c)
+        return _circle_series(theta, ns, np.abs(ns) * c)
 
 
 def poisson_extend(bdry: BoundaryHomeo | AnnulusMap, N: int = 128) -> DiskMap:
@@ -198,11 +190,7 @@ def poisson_extend(bdry: BoundaryHomeo | AnnulusMap, N: int = 128) -> DiskMap:
     theta = _quad.theta_grid(M)
     vals = np.exp(1j * bdry.xi(theta))
     spec = np.fft.fft(vals) / M
-    coeffs = {0: complex(spec[0])}
-    for n in range(1, N + 1):
-        coeffs[n] = complex(spec[n])
-        coeffs[-n] = complex(spec[-n])
-    return DiskMap(coeffs=coeffs)
+    return DiskMap(coeffs={n: complex(spec[n]) for n in range(-N, N + 1)})
 
 
 @dataclass(frozen=True)
@@ -251,14 +239,12 @@ def jacobian_energy_chain(f: DiskMap, M: int | None = None) -> ChainResult:
 def disk_area_quadrature(f: DiskMap, M: int | None = None, rtol: float = 1e-10) -> float:
     """Independent 2-D quadrature of the signed area integral of det Df."""
     ns, c = f.mode_arrays()
-    M = M or max(4 * f.order + 8, 32)
-    theta = _quad.theta_grid(M)
-    eith = np.exp(1j * theta)
+    M = M or max(_quad.exact_ring_size(f.order), 32)
     pos = ns > 0
     neg = ns < 0
 
     def ring(r: np.ndarray) -> np.ndarray:
-        z = r[:, None] * eith[None, :]
+        z = _quad.ring_grid(r, M)
         f_z = np.zeros_like(z)
         f_zb = np.zeros_like(z)
         for n, cn in zip(ns[pos], c[pos]):
@@ -457,11 +443,7 @@ def write_bhm(bdry: BoundaryHomeo, fh: TextIO) -> None:
 
 
 def read_bhm(fh: TextIO) -> BoundaryHomeo:
-    lines: list[list[str]] = []
-    for raw in fh:
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append(body.split())
+    lines = _tokens(fh)
     if not lines or lines[0] != ["BHM", "1"]:
         raise BhmFormatError("missing 'BHM 1' header")
     coeffs: dict[int, complex] = {}

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .annulus_core import AnnulusMap, AnnulusDomainError, evaluate
+from .annulus_core import (
+    AnnulusMap, _check_radius, _is_unimodular, _winding_number, evaluate)
 from .circle_means import _mode_sums
 from .quadratic_forms import circle_functionals
 
@@ -94,8 +95,7 @@ def identity_lhs(m: AnnulusMap, R_eval: float) -> tuple[float, tuple[float, floa
     derivative of the squared means; when |h| = 1 on the unit circle it is
     the literal mean of |h| d|h|/drho.
     """
-    if not (1.0 < R_eval <= m.R):
-        raise AnnulusDomainError(f"R_eval={R_eval} outside (1, {m.R}]")
+    _check_radius(m, R_eval, "(1, R]", "R_eval")
     s2 = R_eval * R_eval
     U_R, _, _ = _mode_sums(m, R_eval)
     U_1, Ud_1, _ = _mode_sums(m, 1.0)
@@ -105,6 +105,11 @@ def identity_lhs(m: AnnulusMap, R_eval: float) -> tuple[float, tuple[float, floa
     t3 = -(s2 - 1.0) * float(Ud_1) / 2.0
     t4 = -(s2 - 1.0) * math.log(R_eval) * (W - float(U_1))
     return t1 + t2 + t3 + t4, (t1, t2, t3, t4)
+
+
+def _identity_ring_size(m: AnnulusMap, M: int | None) -> int:
+    """The angular size M of the right side: given, or max(4N + 16, 32)."""
+    return M or max(4 * m.order + 16, 32)
 
 
 def identity_rhs(
@@ -118,14 +123,11 @@ def identity_rhs(
     Angular direction by M-point trapezoid (spectrally exact for M beyond the
     table degree), radial direction by adaptive composite Gauss-Legendre.
     """
-    if not (1.0 < R_eval <= m.R):
-        raise AnnulusDomainError(f"R_eval={R_eval} outside (1, {m.R}]")
-    M = M or max(4 * m.order + 16, 32)
-    theta = _quad.theta_grid(M)
-    eith = np.exp(1j * theta)
+    _check_radius(m, R_eval, "(1, R]", "R_eval")
+    M = _identity_ring_size(m, M)
 
     def ring_means(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = r[:, None] * eith[None, :]
+        z = _quad.ring_grid(r, M)
         jet = evaluate(m, z)
         gz2, gzb2 = _g_derivative_moduli(jet, np.abs(z))
         return np.mean(gz2, axis=1), np.mean(gzb2, axis=1)
@@ -159,7 +161,7 @@ class IdentityReport:
 def verify_identity(
     m: AnnulusMap, R_eval: float, M: int | None = None, rtol: float = 1e-11
 ) -> IdentityReport:
-    M_used = M or max(4 * m.order + 16, 32)
+    M_used = _identity_ring_size(m, M)
     lhs, terms = identity_lhs(m, R_eval)
     rhs, ints = identity_rhs(m, R_eval, M=M_used, rtol=rtol)
     return IdentityReport(
@@ -201,26 +203,19 @@ class ThinAnnulusResult:
 
 
 def thin_annulus_bound(m: AnnulusMap, sigma: float, M: int = 1024) -> ThinAnnulusResult:
-    if not (1.0 < sigma <= m.R):
-        raise AnnulusDomainError(f"sigma={sigma} outside (1, {m.R}]")
+    _check_radius(m, sigma, "(1, R]", "sigma")
     U_s, _, _ = _mode_sums(m, sigma)
     _, Ud_1, _ = _mode_sums(m, 1.0)
     margin = math.sqrt(float(U_s)) - 0.5 * (sigma + 1.0 / sigma)
 
-    theta = _quad.theta_grid(max(M, 4 * m.order + 8))
-    vals = evaluate(m, np.exp(1j * theta)).value
-    mods = np.abs(vals)
-    unimodular = bool(np.max(np.abs(mods - 1.0)) <= 1e-9)
-    winding = 0
-    if np.min(mods) > 0.0:
-        args = np.angle(np.append(vals, vals[0]))
-        total = float(np.sum(np.mod(np.diff(args) + np.pi, 2.0 * np.pi) - np.pi))
-        winding = int(round(total / (2.0 * math.pi)))
+    M = max(M, _quad.exact_ring_size(m.order))
+    vals = evaluate(m, _quad.ring_grid(1.0, M)).value
+    winding, _ = _winding_number(vals)
     return ThinAnnulusResult(
         sigma=sigma,
         margin=margin,
         sigma_above_e=sigma > math.e + 1e-15,
-        trace_not_unimodular=not unimodular,
+        trace_not_unimodular=not _is_unimodular(vals),
         winding_not_one=winding != 1,
         negative_initial_slope=float(Ud_1) < -1e-12,
     )

@@ -116,6 +116,19 @@ def _march_branch(phi_vals: np.ndarray, start: complex) -> np.ndarray:
     return out
 
 
+def _nearest_node(x: np.ndarray, lo: float, hi: float, M: int) -> np.ndarray:
+    """Index of the node of linspace(lo, hi, M + 1) nearest to each x."""
+    return np.clip(np.rint((x - lo) / (hi - lo) * M).astype(int), 0, M)
+
+
+def _dilatation(jet) -> np.ndarray:
+    """conj(h_zbar)/h_z on a grid, nan where h_z = 0."""
+    hz_ok = np.abs(jet.d_z) > 0
+    return np.where(
+        hz_ok, np.conj(jet.d_zbar) / np.where(hz_ok, jet.d_z, 1.0), np.nan + 0j
+    )
+
+
 def _align(p: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Choose the sign of each principal sqrt to match a reference branch."""
     return np.where((p * np.conj(ref)).real < 0.0, -p, p)
@@ -179,17 +192,14 @@ def lift(
     flat = not (np.any(np.abs(P) > 0) and np.any(np.abs(Q) > 0))
     shape = (n_rho, n_theta)
     if flat:
-        grid_z = rho_grid[:, None] * np.exp(1j * theta_grid)[None, :]
-        jet = evaluate(m, grid_z)
-        mu = np.where(np.abs(jet.d_z) > 0, np.conj(jet.d_zbar) / np.where(
-            np.abs(jet.d_z) > 0, jet.d_z, 1.0), np.nan + 0j)
+        jet = evaluate(m, _quad.ring_grid(rho_grid, n_theta))
         return MinimalLift(
             base=m,
             rho_grid=rho_grid,
             theta_grid=theta_grid,
             w=np.zeros(shape),
             sqrt_phi=np.zeros(shape, dtype=complex),
-            mu=mu,
+            mu=_dilatation(jet),
             conformality_residual=0.0,
             loop_residual=0.0,
             flat=True,
@@ -208,19 +218,12 @@ def lift(
     # branch aligned against the dense march
     sub = max(2, M_b // n_theta // 8)
     w_T = np.zeros(n_theta)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
     acc = 0.0
     edges = np.append(theta_grid, 2.0 * np.pi)
     for j in range(n_theta):
-        lo, hi = edges[j], edges[j + 1]
-        sub_edges = np.linspace(lo, hi, sub + 1)
-        half = np.diff(sub_edges) / 2.0
-        mid = (sub_edges[:-1] + sub_edges[1:]) / 2.0
-        nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-        wts = (half[:, None] * gl_w[None, :]).ravel()
+        nodes, wts = _quad.gauss_legendre_panels(edges[j], edges[j + 1], sub, order)
         p = np.sqrt(_phi(m, np.exp(1j * nodes)))
-        ref_idx = np.clip(np.rint(nodes / (2.0 * np.pi) * M_b).astype(int), 0, M_b)
-        s = _align(p, s_T[ref_idx])
+        s = _align(p, s_T[_nearest_node(nodes, 0.0, 2.0 * np.pi, M_b)])
         w_T[j] = acc
         acc += float(np.dot(wts, 2.0 * (s * np.exp(1j * nodes)).real))
     loop_residual = abs(acc - 0.0)
@@ -232,9 +235,8 @@ def lift(
     # dense radial branch march, vectorized over the coarse rays
     M_r = max(32 * n_rho, 1024)
     r_dense = np.linspace(1.0, m.R, M_r + 1)
-    z_dense = r_dense[:, None] * np.exp(1j * theta_grid)[None, :]
-    phi_rays = _phi(m, z_dense)
-    idx_T = np.clip(np.rint(theta_grid / (2.0 * np.pi) * M_b).astype(int), 0, M_b)
+    phi_rays = _phi(m, _quad.ring_grid(r_dense, n_theta))
+    idx_T = _nearest_node(theta_grid, 0.0, 2.0 * np.pi, M_b)
     s_rays = _march_branch(phi_rays, 1.0)
     # _march_branch starts from principal values; re-anchor row 0 to the T branch
     flip0 = (s_rays[0] * np.conj(s_T[idx_T])).real < 0.0
@@ -247,38 +249,26 @@ def lift(
     for i in range(n_rho - 1):
         lo, hi = rho_grid[i], rho_grid[i + 1]
         sub_r = max(2, int(math.ceil((hi - lo) * 16)))
-        sub_edges = np.linspace(lo, hi, sub_r + 1)
-        half = np.diff(sub_edges) / 2.0
-        mid = (sub_edges[:-1] + sub_edges[1:]) / 2.0
-        nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-        wts = (half[:, None] * gl_w[None, :]).ravel()
-        p = np.sqrt(_phi(m, nodes[:, None] * eith[None, :]))
-        ref_idx = np.clip(
-            np.rint((nodes - 1.0) / (m.R - 1.0) * M_r).astype(int), 0, M_r
-        )
-        s = _align(p, s_rays[ref_idx, :])
+        nodes, wts = _quad.gauss_legendre_panels(lo, hi, sub_r, order)
+        p = np.sqrt(_phi(m, _quad.ring_grid(nodes, n_theta)))
+        s = _align(p, s_rays[_nearest_node(nodes, 1.0, m.R, M_r), :])
         integrand = 2.0 * (-1j * s * eith[None, :]).real
         w[i + 1, :] = w[i, :] + wts @ integrand
 
     # diagnostics on the coarse grid
-    grid_z = rho_grid[:, None] * eith[None, :]
-    jet = evaluate(m, grid_z)
+    jet = evaluate(m, _quad.ring_grid(rho_grid, n_theta))
     phi_grid = jet.d_z * np.conj(jet.d_zbar)
-    ref_idx = np.clip(
-        np.rint((rho_grid - 1.0) / (m.R - 1.0) * M_r).astype(int), 0, M_r
-    )
-    s_grid = _align(np.sqrt(phi_grid), s_rays[ref_idx, :])
+    ref = s_rays[_nearest_node(rho_grid, 1.0, m.R, M_r), :]
+    s_grid = _align(np.sqrt(phi_grid), ref)
     scale = float(np.max(np.abs(jet.d_z) ** 2 + np.abs(jet.d_zbar) ** 2))
     residual = float(np.max(np.abs((-1j * s_grid) ** 2 + phi_grid)))
-    hz_ok = np.abs(jet.d_z) > 0
-    mu = np.where(hz_ok, np.conj(jet.d_zbar) / np.where(hz_ok, jet.d_z, 1.0), np.nan + 0j)
     return MinimalLift(
         base=m,
         rho_grid=rho_grid,
         theta_grid=theta_grid,
         w=w,
         sqrt_phi=s_grid,
-        mu=mu,
+        mu=_dilatation(jet),
         conformality_residual=residual / max(scale, 1e-300),
         loop_residual=loop_residual,
         flat=False,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .annulus_core import AnnulusMap, evaluate
+from .annulus_core import AnnulusMap, _winding_number, evaluate
 from .circle_means import _mode_sums
 
 __all__ = [
@@ -168,14 +168,7 @@ def example_51_map(a: float, lam: float | None = None, R: float = 1000.0) -> Ann
 
 def winding_on_unit_circle(m: AnnulusMap, M: int = 4096) -> tuple[int, float]:
     """(degree, min |h|) of the inner trace, by argument increment on a grid."""
-    theta = _quad.theta_grid(M)
-    vals = evaluate(m, np.exp(1j * theta)).value
-    min_mod = float(np.min(np.abs(vals)))
-    if min_mod == 0.0:
-        return 0, 0.0
-    args = np.angle(np.append(vals, vals[0]))
-    total = float(np.sum(np.mod(np.diff(args) + np.pi, 2.0 * np.pi) - np.pi))
-    return int(round(total / (2.0 * np.pi))), min_mod
+    return _winding_number(evaluate(m, _quad.ring_grid(1.0, M)).value)
 
 
 @dataclass(frozen=True)
@@ -197,12 +190,12 @@ def check_initial_conditions(
     """Check the three inner-circle conditions behind the sharp bound.
 
     (I) degree-1 nonvanishing inner trace; (II) U'(1) >= 0; (III) mean
-    Jacobian over the unit circle >= 0 (angular trapezoid).
+    Jacobian over the unit circle >= 0 (angular trapezoid).  (I) and (III)
+    come from one evaluation of the M-point unit circle.
     """
-    winding, min_mod = winding_on_unit_circle(m, M)
+    jet = evaluate(m, _quad.ring_grid(1.0, M))
+    winding, min_mod = _winding_number(jet.value)
     _, u_dot_1, _ = _mode_sums(m, 1.0)
-    theta = _quad.theta_grid(M)
-    jet = evaluate(m, np.exp(1j * theta))
     mean_jac = float(np.mean(jet.jacobian))
     return InitialConditions(
         I=(winding == 1 and min_mod > 0.0),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .annulus_core import AnnulusMap, AnnulusDomainError, evaluate
+from .annulus_core import AnnulusMap, _check_radius, _is_unimodular, evaluate
 from .circle_means import _mode_sums
 
 __all__ = [
@@ -55,8 +55,7 @@ class CircleFunctionals:
 
 def circle_functionals(m: AnnulusMap, rho: float) -> CircleFunctionals:
     """Evaluate all six functionals at radius rho, exact finite sums."""
-    if not (1.0 <= rho < m.R):
-        raise AnnulusDomainError(f"rho={rho} outside [1, {m.R})")
+    _check_radius(m, rho)
     ns, a, b = m.mode_arrays()
     U, _, _ = _mode_sums(m, rho)
     pa = np.abs(a) ** 2
@@ -88,31 +87,47 @@ class QFormEval:
         return self.A * self.B - self.C * self.C
 
 
+def _radial_weights(rho):
+    """p = (rho + 1/rho)^2 / 4 and w = rho^2 - 4 - rho^-2, scalar or array."""
+    return 0.25 * (rho + 1.0 / rho) ** 2, rho * rho - 4.0 - rho ** (-2)
+
+
+def _general_abc(n, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A_n, B_n, C_n by the formulas for n outside {0, 1}.
+
+    n and rho are numbers or arrays that broadcast together.  The term
+    (n^2 - n/2) w goes to A for n > 0 and to B for n < 0, and n w/2 to the
+    other one; C carries sign(n) (n^2 - n) w/2.  Raises an ArithmeticError
+    (OverflowError or FloatingPointError) when rho^{2|n|} overflows.
+    """
+    with np.errstate(over="raise"):
+        p, w = _radial_weights(rho)
+        pos = n > 0
+        big = 0.5 * (2.0 * n * n - n) * w
+        small = 0.5 * n * w
+        A = rho ** (2 * n) - n * p - 2.0 * n - np.where(pos, big, small)
+        B = rho ** (-2 * n) - n * p + 2.0 * n + np.where(pos, small, big)
+        C = 1.0 - n * p - np.sign(n) * 0.5 * (n * n - n) * w
+    return A, B, C
+
+
 def qform_coefficients(n: int, rho: float) -> QFormEval:
     """A_n, B_n, C_n at radius rho, every index case.
 
     Positivity of the forms is only guaranteed for rho >= sqrt(7); the
-    coefficients themselves are defined for any rho > 1.
+    coefficients themselves are defined for any rho > 1.  Raises an
+    ArithmeticError where they overflow float64.
     """
     if rho <= 1.0:
         raise ValueError(f"rho must exceed 1, got {rho}")
-    p = 0.25 * (rho + 1.0 / rho) ** 2
-    w = rho * rho - 4.0 - rho ** (-2)
     if n == 0:
         lg = math.log(rho)
         A, B, C = lg * lg, 1.0, lg - 1.0
     elif n == 1:
         k = (rho * rho - 1.0) ** 2 / (4.0 * rho * rho)
         A, B, C = k, k, -k
-    elif n >= 2:
-        A = rho ** (2 * n) - n * p - 2.0 * n - 0.5 * (2.0 * n * n - n) * w
-        B = rho ** (-2 * n) - n * p + 2.0 * n + 0.5 * n * w
-        C = 1.0 - n * p - 0.5 * (n * n - n) * w
     else:
-        m_ = -n
-        A = rho ** (-2 * m_) + m_ * p + 2.0 * m_ + 0.5 * m_ * w
-        B = rho ** (2 * m_) + m_ * p - 2.0 * m_ + 0.5 * (2.0 * m_ * m_ + m_) * w
-        C = 1.0 + m_ * p + 0.5 * (m_ * m_ + m_) * w
+        A, B, C = (float(x) for x in _general_abc(n, rho))
     return QFormEval(n=n, rho=rho, A=A, B=B, C=C)
 
 
@@ -153,24 +168,7 @@ def positivity_scan(
     ns = np.array([n for n in range(n_lo, n_hi + 1) if n not in (0, 1)])
     r = rho_grid[None, :]
     n = ns[:, None].astype(float)
-    p = 0.25 * (r + 1.0 / r) ** 2
-    w = r * r - 4.0 - r ** (-2)
-    pos = n > 0
-    A = np.where(
-        pos,
-        r ** (2 * n) - n * p - 2 * n - 0.5 * (2 * n * n - n) * w,
-        r ** (2 * n) - n * p - 2 * n - 0.5 * n * w,
-    )
-    B = np.where(
-        pos,
-        r ** (-2 * n) - n * p + 2 * n + 0.5 * n * w,
-        r ** (-2 * n) - n * p + 2 * n + 0.5 * (2 * n * n - n) * w,
-    )
-    C = np.where(
-        pos,
-        1.0 - n * p - 0.5 * (n * n - n) * w,
-        1.0 - n * p - 0.5 * (n * n + n) * w,
-    )
+    A, B, C = _general_abc(n, r)
     disc = A * B - C * C
     flat = int(np.argmin(disc))
     i, j = np.unravel_index(flat, disc.shape)
@@ -215,9 +213,8 @@ class CertificateResult:
 
 
 def _trace_unimodular(m: AnnulusMap, M: int = 512, tol: float = 1e-9) -> bool:
-    theta = _quad.theta_grid(max(M, 4 * m.order + 8))
-    vals = evaluate(m, np.exp(1j * theta)).value
-    return bool(np.max(np.abs(np.abs(vals) - 1.0)) <= tol)
+    M = max(M, _quad.exact_ring_size(m.order))
+    return _is_unimodular(evaluate(m, _quad.ring_grid(1.0, M)).value, tol)
 
 
 def prop52_certificate(m: AnnulusMap, rho: float) -> CertificateResult:
@@ -228,8 +225,7 @@ def prop52_certificate(m: AnnulusMap, rho: float) -> CertificateResult:
     identically, and is nonnegative for rho >= sqrt(7).
     """
     f = circle_functionals(m, rho)
-    w = rho * rho - 4.0 - rho ** (-2)
-    p = 0.25 * (rho + 1.0 / rho) ** 2
+    p, w = _radial_weights(rho)
     # [integral of det Df over T] - [disk energy] = 2 pi (sum n|n||c|^2) - disk_energy
     gap = 2.0 * math.pi * f.boundary_det_Df - f.disk_energy
     value = (

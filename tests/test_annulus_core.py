@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nitsche_lab import _quad
 from nitsche_lab import (
     AnnulusMap,
     conformal_modulus,
@@ -191,3 +192,19 @@ def test_random_map_is_seeded():
     a = random_annulus_map(np.random.default_rng(5))
     b = random_annulus_map(np.random.default_rng(5))
     assert dict(a.terms) == dict(b.terms) and a.log_a0 == b.log_a0
+
+
+def test_ring_grid_is_the_hand_written_grid():
+    eith = np.exp(1j * _quad.theta_grid(12))
+    r = np.array([1.0, 1.3, 1.7])
+    assert np.array_equal(_quad.ring_grid(r, 12), r[:, None] * eith[None, :])
+    assert np.array_equal(_quad.ring_grid(1.3, 12), 1.3 * eith)
+    assert np.array_equal(_quad.ring_grid(1.0, 12), eith)
+
+
+def test_gauss_legendre_panels_reuse_cached_nodes():
+    nodes, weights = _quad.gauss_legendre_panels(0.5, 2.0, 3, 7)
+    assert nodes.shape == weights.shape == (21,)
+    assert abs(weights.sum() - 1.5) <= 1e-14
+    assert abs(np.dot(weights, nodes**13) - (2.0**14 - 0.5**14) / 14.0) <= 1e-10
+    assert _quad._legendre(7) is _quad._legendre(7)

@@ -114,4 +114,13 @@ def test_domain_guards(critical):
     with pytest.raises(AnnulusDomainError):
         energy_green(critical, 1.0)
     with pytest.raises(AnnulusDomainError):
-        operator_L(critical, 2.0)  # interior only
+        operator_L(critical, 2.0)  # [1, R): the outer circle is excluded
+
+
+def test_operator_L_on_the_inner_circle(rng):
+    m = random_annulus_map(rng, n_max=5, R=2.0, log_scale=0.3)
+    L1, L2, L3 = operator_L(m, 1.0)
+    scale = max(1.0, abs(L1))
+    assert abs(L1 - L2) <= 1e-10 * scale and abs(L1 - L3) <= 1e-10 * scale
+    with pytest.raises(AnnulusDomainError):
+        operator_L(m, m.R)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nitsche_lab import AnnulusMap, write_ahm
+from nitsche_lab import AnnulusMap, cli, means_closed_form, random_annulus_map, write_ahm
 from nitsche_lab.cli import main
 from nitsche_lab.nitsche_family import NitscheParams, nitsche_map
 
@@ -136,3 +136,31 @@ def test_parse_errors_exit_2(tmp_path, capsys):
 def test_domain_errors_exit_3(critical_path, capsys):
     assert main(["means", "--map", critical_path, "--rho-grid", "1.0:5.0:10"]) == 3
     assert "domain error" in capsys.readouterr().err
+
+
+def test_overflow_exits_3_with_one_line(capsys):
+    assert main(["qforms", "--rho-grid", "3:1e40:2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and err.count("\n") == 1
+
+
+def test_means_routes_agree_from_the_inner_circle(tmp_path, capsys):
+    m = random_annulus_map(np.random.default_rng(5), n_max=5, R=2.0, log_scale=0.4)
+    assert m.log_a0 != 0
+    p = tmp_path / "log.ahm"
+    write_map(p, m)
+    assert main(["means", "--map", str(p)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    header = lines[0].split(",")
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert rows[0][0] == 1.0
+    i1, i3 = header.index("L1"), header.index("L3")
+    for row in rows:
+        assert abs(row[i1] - row[i3]) <= 1e-10 * max(1.0, abs(row[i1]))
+        U, Ud, Udd = means_closed_form(m, row[0])  # the per-radius sums
+        assert np.allclose(row[1:4], [U, Ud, Udd], rtol=1e-14, atol=0.0)
+
+
+def test_cli_surface():
+    assert cli.__all__ == ["main"]
+    assert main(["qforms", "--tol", "1e-8"]) == 2  # the unused flag is gone

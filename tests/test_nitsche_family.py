@@ -124,3 +124,5 @@ def test_winding_degrees(critical):
 
     sq = AnnulusMap(R=2.0, terms={2: (1.0, 0.0)})
     assert winding_on_unit_circle(sq)[0] == 2
+    cond = check_initial_conditions(sq)
+    assert cond.I is False and cond.winding == 2

@@ -65,6 +65,23 @@ def test_positivity_scan_report():
     )
 
 
+def test_scan_uses_the_coefficient_formulas():
+    # negative indices too: the scan's discriminant is that of qform_coefficients
+    grid = np.array([SQRT7, 3.0, 7.5])
+    for n in (-7, -2, -1, 2, 5):
+        scan = positivity_scan(n_lo=n, n_hi=n, rho_grid=grid)
+        disc = min(qform_coefficients(n, float(r)).discriminant for r in grid)
+        assert abs(scan.min_discriminant - disc) <= 1e-12 * abs(disc)
+
+
+@pytest.mark.parametrize("n", [-10, 10])
+def test_coefficient_overflow_raises(n):
+    with pytest.raises(ArithmeticError):
+        qform_coefficients(n, 1e40)
+    with pytest.raises(ArithmeticError):
+        positivity_scan(n_lo=n, n_hi=n, rho_grid=np.array([3.0, 1e40]))
+
+
 def test_intermediate_bounds_pointwise():
     for rho in (SQRT7, 3.0, 10.0):
         for n in range(2, 15):
