@@ -60,16 +60,17 @@ def radial_integral(
     start_panels: int = 2,
     max_panels: int = 256,
     order: int = 16,
-) -> float:
-    """Integral of a smooth f on [lo, hi]; panel doubling until relative change < rtol."""
+) -> float | np.ndarray:
+    """Integral of a smooth f on [lo, hi]; panel doubling until relative change < rtol.
+
+    Values of f of shape (n, k) give a (k,) array, every component converged."""
     panels = start_panels
     nodes, weights = gauss_legendre_panels(lo, hi, panels, order)
-    prev = float(np.dot(weights, f(nodes)))
+    cur = np.dot(weights, f(nodes))
     while panels < max_panels:
         panels *= 2
         nodes, weights = gauss_legendre_panels(lo, hi, panels, order)
-        cur = float(np.dot(weights, f(nodes)))
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    return prev
+        prev, cur = cur, np.dot(weights, f(nodes))
+        if np.all(np.abs(cur - prev) <= rtol * np.maximum(1.0, np.abs(cur))):
+            break
+    return float(cur) if np.ndim(cur) == 0 else cur

@@ -131,7 +131,8 @@ def operator_L(m: AnnulusMap, rho: float, M: int | None = None) -> tuple[float, 
     L1: second-order closed form in (U, U', U'').
     L2: divergence form (rho^2+1)/rho^3 d/drho [rho^3 d/drho (U/(rho^2+1))],
         expanded analytically.
-    L3: angular trapezoid of the first-derivative-only integrand.
+    L3: angular trapezoid of the first-derivative-only integrand, on
+        max(M, 4N + 8, 16) points (a given M is a floor).
 
     rho may be any radius in [1, R), the inner circle included.
     """
@@ -145,7 +146,7 @@ def operator_L(m: AnnulusMap, rho: float, M: int | None = None) -> tuple[float, 
     V2 = Udd / s - 4.0 * rho * Ud / s**2 + (8.0 * rho * rho / s**3 - 2.0 / s**2) * U
     L2 = float((s / rho**3) * (3.0 * rho**2 * V1 + rho**3 * V2))
 
-    M = M or max(_quad.exact_ring_size(m.order), 16)
+    M = max(M or 0, _quad.exact_ring_size(m.order), 16)
     jet = evaluate(m, _quad.ring_grid(rho, M))
     sq_rho = np.abs(jet.d_rho) ** 2
     sq_theta = np.abs(jet.d_theta) ** 2

@@ -3,9 +3,9 @@
 Subcommands: means, verify, construct, minsurf, identity, qforms, chain,
 example51; each takes the parsed argparse namespace.  Exit codes: 0
 success, 1 failed verification check, 2 argument or file parse error,
-3 domain error (a radius outside the annulus, or a value outside the
-floating-point range), 4 existence bound violated (deficit printed),
-5 lift rejected.
+3 domain error (a radius outside the annulus, a table over the overflow
+cap, or a value outside the floating-point range), 4 existence bound
+violated (deficit printed), 5 lift rejected.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .annulus_core import (
     AhmFormatError,
     AnnulusDomainError,
     AnnulusMap,
+    CoefficientRangeError,
+    _check_radius,
     evaluate,
     random_annulus_map,
     read_ahm,
@@ -158,18 +160,11 @@ def _csv(header: list[str], rows: list[list[float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rho_values(cfg: argparse.Namespace, m: AnnulusMap) -> np.ndarray:
-    lo, hi, steps = cfg.rho_grid or (1.0, 0.995 * m.R, 50)
-    if lo < 1.0 or hi >= m.R:
-        raise AnnulusDomainError(f"rho grid [{lo}, {hi}] outside [1, {m.R})")
-    return np.linspace(lo, hi, steps)
-
-
 def cmd_means(cfg: argparse.Namespace) -> int:
     m = _load_map(cfg)
-    prof = radial_profile(m, _rho_values(cfg, m))
-    M = max(cfg.quad[0], _quad.exact_ring_size(m.order))
-    L3 = [operator_L(m, rho, M)[2] for rho in prof.rho_grid.tolist()]
+    lo, hi, steps = cfg.rho_grid or (1.0, 0.995 * m.R, 50)
+    prof = radial_profile(m, np.linspace(lo, hi, steps))  # checks [1, R)
+    L3 = [operator_L(m, rho, cfg.quad[0])[2] for rho in prof.rho_grid.tolist()]
     floor = 0.5 * (prof.rho_grid + 1.0 / prof.rho_grid)
     cols = (prof.rho_grid, prof.U, prof.U_dot, prof.U_ddot, prof.mean_radius,
             prof.L_of_U, np.array(L3), floor, prof.mean_radius - floor)
@@ -188,7 +183,7 @@ def cmd_identity(cfg: argparse.Namespace) -> int:
         targets = np.linspace(1.0 + (m.R - 1.0) / 10.0, m.R, 10)
     rows = []
     for sigma in targets:
-        rep = verify_identity(m, float(sigma), M=max(cfg.quad[0], 4 * m.order + 16))
+        rep = verify_identity(m, float(sigma), M=cfg.quad[0])
         rows.append([
             rep.R_eval, rep.lhs, rep.rhs, rep.residual,
             *rep.lhs_terms, *rep.rhs_integrals,
@@ -285,7 +280,9 @@ def cmd_example51(cfg: argparse.Namespace) -> int:
     cond = check_initial_conditions(m)
     print(f"I {cond.I} II {cond.II} III {cond.III}")
     print(f"mean_jacobian {_fmt(cond.mean_jacobian_at_1)}")
-    lo, hi, steps = cfg.rho_grid or (1.0, 20.0, 100)
+    lo, hi, steps = cfg.rho_grid or (1.0, min(20.0, m.R), 100)
+    for sigma in (lo, hi):
+        _check_radius(m, sigma, "[1, R]", "sigma")
     rows = []
     for sigma in np.linspace(lo, hi, steps):
         U, _, _ = _mode_sums(m, float(sigma))
@@ -425,10 +422,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return _COMMANDS[args.command](args)
-    except (AhmFormatError, FileNotFoundError, ValueError, ArithmeticError) as exc:
-        if isinstance(exc, (AnnulusDomainError, ArithmeticError)):
-            print(f"domain error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
+    except (AnnulusDomainError, CoefficientRangeError, ArithmeticError) as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except (AhmFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

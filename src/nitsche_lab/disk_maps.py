@@ -65,6 +65,14 @@ def _circle_series(theta, ns: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(theta, ns)) @ coeffs
 
 
+def _zeta_difference(bdry: BoundaryHomeo, theta, alpha: np.ndarray) -> np.ndarray:
+    """zeta(theta) - zeta(theta - alpha) on the outer (theta, alpha) grid, in the
+    separable form 2 Re sum_n z_n e^{in theta} (1 - e^{-in alpha})."""
+    ns, zn = bdry._ns, bdry._zn  # type: ignore[attr-defined]
+    shift = 1.0 - np.exp(-1j * np.multiply.outer(ns, alpha))
+    return 2.0 * _circle_series(theta, ns, zn[:, None] * shift).real
+
+
 @dataclass(frozen=True)
 class BoundaryHomeo:
     """Increasing degree-1 circle map xi(theta) = theta + zeta(theta).
@@ -269,7 +277,7 @@ def boundary_normal_derivative(
     """
     bdry.require_monotone()
     alpha = _quad.theta_grid(M)
-    beta = bdry.xi(theta) - bdry.xi(theta - alpha[1:])
+    beta = alpha[1:] + _zeta_difference(bdry, theta, alpha[1:])
     vals = np.empty(M)
     vals[0] = float(bdry.xi_prime(theta)) ** 2
     vals[1:] = _one_minus_cos(beta) / _one_minus_cos(alpha[1:])
@@ -294,14 +302,12 @@ def lemma_functional(bdry: BoundaryHomeo, M: int = 512) -> float:
     """
     bdry.require_monotone()
     theta = _quad.theta_grid(M)
-    alpha = _quad.theta_grid(M)
     zp = bdry.zeta_prime(theta)
-    xit = bdry.xi(theta)
-    # rows: theta, columns: alpha
-    beta_full = xit[:, None] - bdry.xi(theta[:, None] - alpha[None, 1:])
+    # rows: theta, columns: alpha on the same grid
+    beta = theta[None, 1:] + _zeta_difference(bdry, theta, theta[1:])
     kernel = np.empty((M, M))
-    kernel[:, 0] = bdry.xi_prime(theta) ** 2
-    kernel[:, 1:] = _one_minus_cos(beta_full) / _one_minus_cos(alpha[1:])[None, :]
+    kernel[:, 0] = (1.0 + zp) ** 2
+    kernel[:, 1:] = _one_minus_cos(beta) / _one_minus_cos(theta[1:])[None, :]
     return float((2.0 * np.pi / M) ** 2 * np.sum(kernel * zp[:, None]))
 
 
@@ -351,13 +357,9 @@ def lemma_functional_split(
     bdry.require_monotone()
     theta = _quad.theta_grid(M)
     zp = bdry.zeta_prime(theta)
-    zt = bdry.zeta(theta)
-
-    def beta_of(alpha_nodes: np.ndarray) -> np.ndarray:
-        return zt[:, None] - bdry.zeta(theta[:, None] - alpha_nodes[None, :])
 
     a_nodes, a_wts = _quad.gauss_legendre_panels(-np.pi / 2, np.pi / 2, panels)
-    beta = beta_of(a_nodes)
+    beta = _zeta_difference(bdry, theta, a_nodes)
     ratio = _one_minus_cos(beta) / _one_minus_cos(a_nodes)[None, :]
     theta_mean_Ap = np.mean(ratio * zp[:, None], axis=0)
     theta_mean_Bp = np.mean(ratio, axis=0)
@@ -367,7 +369,7 @@ def lemma_functional_split(
     plus_lb = float(2.0 * np.pi * np.dot(a_wts, theta_mean_lb))
 
     m_nodes, m_wts = _quad.gauss_legendre_panels(np.pi / 2, 3 * np.pi / 2, panels)
-    beta_m = beta_of(m_nodes)
+    beta_m = _zeta_difference(bdry, theta, m_nodes)
     integrand = psi(m_nodes[None, :], beta_m) / _one_minus_cos(m_nodes)[None, :] ** 2
     minus = float(2.0 * np.pi * np.dot(m_wts, np.mean(integrand, axis=0)))
     return SplitResult(

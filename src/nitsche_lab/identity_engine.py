@@ -108,8 +108,8 @@ def identity_lhs(m: AnnulusMap, R_eval: float) -> tuple[float, tuple[float, floa
 
 
 def _identity_ring_size(m: AnnulusMap, M: int | None) -> int:
-    """The angular size M of the right side: given, or max(4N + 16, 32)."""
-    return M or max(4 * m.order + 16, 32)
+    """The angular size M of the right side: max(M, 4N + 16, 32), M a floor."""
+    return max(M or 0, 4 * m.order + 16, 32)
 
 
 def identity_rhs(
@@ -126,22 +126,16 @@ def identity_rhs(
     _check_radius(m, R_eval, "(1, R]", "R_eval")
     M = _identity_ring_size(m, M)
 
-    def ring_means(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def weighted_ring_means(r: np.ndarray) -> np.ndarray:
         z = _quad.ring_grid(r, M)
-        jet = evaluate(m, z)
-        gz2, gzb2 = _g_derivative_moduli(jet, np.abs(z))
-        return np.mean(gz2, axis=1), np.mean(gzb2, axis=1)
+        gz2, gzb2 = _g_derivative_moduli(evaluate(m, z), np.abs(z))
+        return np.column_stack((
+            2.0 * r * weight_first(R_eval, r) * np.mean(gz2, axis=1),
+            2.0 * r * weight_second(R_eval, r) * np.mean(gzb2, axis=1),
+        ))
 
-    def f1(r: np.ndarray) -> np.ndarray:
-        mz, _ = ring_means(r)
-        return 2.0 * r * weight_first(R_eval, r) * mz
-
-    def f2(r: np.ndarray) -> np.ndarray:
-        _, mzb = ring_means(r)
-        return 2.0 * r * weight_second(R_eval, r) * mzb
-
-    int1 = _quad.radial_integral(f1, 1.0, R_eval, rtol=rtol)
-    int2 = _quad.radial_integral(f2, 1.0, R_eval, rtol=rtol)
+    int1, int2 = map(float, _quad.radial_integral(
+        weighted_ring_means, 1.0, R_eval, rtol=rtol))
     return int1 + int2, (int1, int2)
 
 

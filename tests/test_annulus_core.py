@@ -208,3 +208,19 @@ def test_gauss_legendre_panels_reuse_cached_nodes():
     assert abs(weights.sum() - 1.5) <= 1e-14
     assert abs(np.dot(weights, nodes**13) - (2.0**14 - 0.5**14) / 14.0) <= 1e-10
     assert _quad._legendre(7) is _quad._legendre(7)
+
+
+def test_radial_integral_array_valued_converges_per_component():
+    # x^2 settles on the first comparison; sin(200x) needs several more
+    # doublings (its 4-panel estimate is off by 2.5e-3), so the pair must run
+    # until the slower component converges
+    def both(x):
+        return np.column_stack((x**2, np.sin(200.0 * x)))
+
+    val = _quad.radial_integral(both, 0.0, 1.0)
+    assert isinstance(val, np.ndarray) and val.shape == (2,)
+    assert abs(val[0] - 1.0 / 3.0) <= 1e-14
+    assert abs(val[1] - (1.0 - math.cos(200.0)) / 200.0) <= 1e-12
+    scalar = _quad.radial_integral(lambda x: np.sin(200.0 * x), 0.0, 1.0)
+    assert type(scalar) is float
+    assert abs(scalar - val[1]) <= 1e-15

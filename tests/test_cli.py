@@ -108,6 +108,10 @@ def test_example51_summary(capsys):
     }
     # the generalized bound margin goes negative well before sigma = 12
     assert margins[max(margins)] < 0.0
+    # the default grid stops at R when R < 20
+    assert main(["example51", "--R", "5"]) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if "," in l]
+    assert float(rows[-1].split(",")[0]) == 5.0
 
 
 def test_verify_passes_and_is_deterministic(capsys):
@@ -136,12 +140,19 @@ def test_parse_errors_exit_2(tmp_path, capsys):
 def test_domain_errors_exit_3(critical_path, capsys):
     assert main(["means", "--map", critical_path, "--rho-grid", "1.0:5.0:10"]) == 3
     assert "domain error" in capsys.readouterr().err
+    # example51 on A(1, 5): margins are only defined on [1, 5]
+    for grid in ("0.5:20:4", "1:5.5:4"):
+        assert main(["example51", "--a", "0.5", "--R", "5", "--rho-grid", grid]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("domain error:") and "," not in captured.out
 
 
 def test_overflow_exits_3_with_one_line(capsys):
-    assert main(["qforms", "--rho-grid", "3:1e40:2"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("domain error:") and err.count("\n") == 1
+    for argv in (["qforms", "--rho-grid", "3:1e40:2"],
+                 ["example51", "--a", "0.9"]):  # N log R = 2417.7 > the table cap
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("domain error:") and err.count("\n") == 1
 
 
 def test_means_routes_agree_from_the_inner_circle(tmp_path, capsys):

@@ -22,9 +22,11 @@ from nitsche_lab import (
     read_bhm,
     write_bhm,
 )
+from nitsche_lab import _quad
 from nitsche_lab.disk_maps import (
     BhmFormatError,
     NonMonotoneError,
+    _one_minus_cos,
     disk_area_quadrature,
     psi,
 )
@@ -118,6 +120,46 @@ def test_split_bookkeeping_matches_functional():
     assert split.A_plus + split.B_plus >= split.plus_lower_bound - 1e-10
     assert split.plus_lower_bound >= 0.0
     assert split.minus_combined >= -1e-10
+
+
+def test_difference_kernel_matches_pointwise_xi(rng):
+    """Oracle for the separable kernel: beta formed pointwise from xi."""
+    bdry = random_boundary_homeo(rng, n_max=6)
+    M, panels = 64, 4
+    theta = _quad.theta_grid(M)
+    zp = bdry.zeta_prime(theta)
+
+    def xi_difference(t, alpha):  # xi(t) - xi(t - alpha), rows t, columns alpha
+        t = np.atleast_1d(t)
+        return bdry.xi(t)[:, None] - bdry.xi(t[:, None] - alpha[None, :])
+
+    def close(got, want):
+        return abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    ratio = _one_minus_cos(xi_difference(theta, theta[1:])) / _one_minus_cos(theta[1:])
+    plain = (2.0 * np.pi / M) ** 2 * (
+        np.sum(bdry.xi_prime(theta) ** 2 * zp) + np.sum(ratio * zp[:, None]))
+    assert close(lemma_functional(bdry, M=M), plain)
+
+    a_nodes, a_wts = _quad.gauss_legendre_panels(-np.pi / 2, np.pi / 2, panels)
+    beta = xi_difference(theta, a_nodes) - a_nodes[None, :]
+    ratio = _one_minus_cos(beta) / _one_minus_cos(a_nodes)[None, :]
+    m_nodes, m_wts = _quad.gauss_legendre_panels(np.pi / 2, 3 * np.pi / 2, panels)
+    beta_m = xi_difference(theta, m_nodes) - m_nodes[None, :]
+    minus = psi(m_nodes[None, :], beta_m) / _one_minus_cos(m_nodes)[None, :] ** 2
+    split = lemma_functional_split(bdry, M=M, panels=panels)
+    tau = 2.0 * np.pi
+    assert close(split.A_plus,
+                 tau * np.dot(a_wts, np.cos(a_nodes) * np.mean(ratio * zp[:, None], 0)))
+    assert close(split.B_plus, tau * np.dot(a_wts, np.mean(ratio, 0)))
+    assert close(split.minus_combined, tau * np.dot(m_wts, np.mean(minus, 0)))
+    assert close(split.plus_lower_bound,
+                 tau * np.dot(a_wts, np.mean(_one_minus_cos(beta), 0)))
+
+    for t in (0.0, 1.1, 4.0):
+        vals = _one_minus_cos(xi_difference(t, theta[1:])[0]) / _one_minus_cos(theta[1:])
+        want = (float(bdry.xi_prime(t)) ** 2 + np.sum(vals)) / M
+        assert close(boundary_normal_derivative(bdry, t, M=M), want)
 
 
 def test_psi_region_scan():

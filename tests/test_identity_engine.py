@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nitsche_lab import _quad
 from nitsche_lab import (
     AnnulusMap,
     g_substitute,
@@ -131,3 +132,25 @@ def test_domain_guards(critical):
         identity_rhs(critical, 2.5)
     with pytest.raises(AnnulusDomainError):
         thin_annulus_bound(critical, 2.5)
+
+
+@pytest.mark.parametrize("sigma", [1.6, 3.5])  # second weight >= 0, then sign-changing
+def test_rhs_matches_two_scalar_integrals(sigma):
+    """Oracle for the one-pass right side: one scalar integral per weight."""
+    m = random_annulus_map(np.random.default_rng(11), n_max=6, R=4.0, log_scale=0.4)
+    M = 4 * m.order + 16
+
+    def ring_mean(r, k):  # k = 0: mean |G1|^2, k = 1: mean |G2|^2
+        z = _quad.ring_grid(r, M)
+        return np.mean(_g_derivative_moduli(evaluate(m, z), np.abs(z))[k], axis=1)
+
+    i1 = _quad.radial_integral(
+        lambda r: 2.0 * r * weight_first(sigma, r) * ring_mean(r, 0), 1.0, sigma,
+        rtol=1e-11)
+    i2 = _quad.radial_integral(
+        lambda r: 2.0 * r * weight_second(sigma, r) * ring_mean(r, 1), 1.0, sigma,
+        rtol=1e-11)
+    _, (j1, j2) = identity_rhs(m, sigma)
+    assert abs(j1 - i1) <= 1e-13 * max(1.0, abs(i1))
+    assert abs(j2 - i2) <= 1e-13 * max(1.0, abs(i2))
+    assert verify_identity(m, sigma).rhs_integrals == (j1, j2)
