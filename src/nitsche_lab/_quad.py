@@ -57,14 +57,13 @@ def radial_integral(
     lo: float,
     hi: float,
     rtol: float = 1e-10,
-    start_panels: int = 2,
     max_panels: int = 256,
     order: int = 16,
 ) -> float | np.ndarray:
     """Integral of a smooth f on [lo, hi]; panel doubling until relative change < rtol.
 
     Values of f of shape (n, k) give a (k,) array, every component converged."""
-    panels = start_panels
+    panels = 2
     nodes, weights = gauss_legendre_panels(lo, hi, panels, order)
     cur = np.dot(weights, f(nodes))
     while panels < max_panels:

@@ -135,15 +135,7 @@ def _check_radius(
         raise AnnulusDomainError(f"{name}={rho} outside {lo}1, {m.R}{hi}")
 
 
-def _check_domain(m: AnnulusMap, rho: np.ndarray) -> None:
-    slack = 1e-12 * max(1.0, m.R)
-    if np.any(rho < 1.0 - slack) or np.any(rho > m.R + slack):
-        raise AnnulusDomainError(
-            f"|z| outside [1, {m.R}]: range [{rho.min()}, {rho.max()}]"
-        )
-
-
-def evaluate(m: AnnulusMap, z, check_domain: bool = True) -> PolarJet:
+def evaluate(m: AnnulusMap, z) -> PolarJet:
     """Evaluate h and its polar/Wirtinger derivatives at z (scalar or array).
 
     Closed-form termwise differentiation; exact up to rounding.
@@ -151,8 +143,11 @@ def evaluate(m: AnnulusMap, z, check_domain: bool = True) -> PolarJet:
     z_arr = np.asarray(z, dtype=complex)
     scalar = z_arr.ndim == 0
     rho = np.abs(z_arr)
-    if check_domain:
-        _check_domain(m, np.atleast_1d(rho))
+    slack = 1e-12 * max(1.0, m.R)
+    if np.any(rho < 1.0 - slack) or np.any(rho > m.R + slack):
+        raise AnnulusDomainError(
+            f"|z| outside [1, {m.R}]: range [{rho.min()}, {rho.max()}]"
+        )
     theta = np.angle(z_arr)
     ns, a, b = m.mode_arrays()
 
@@ -205,9 +200,9 @@ def _winding_number(values: np.ndarray) -> tuple[int, float]:
     return int(round(total / (2.0 * math.pi))), min_mod
 
 
-def _is_unimodular(values: np.ndarray, tol: float = 1e-9) -> bool:
-    """max ||v| - 1| <= tol over the samples."""
-    return bool(np.max(np.abs(np.abs(values) - 1.0)) <= tol)
+def _is_unimodular(values: np.ndarray) -> bool:
+    """max ||v| - 1| <= 1e-9 over the samples."""
+    return bool(np.max(np.abs(np.abs(values) - 1.0)) <= 1e-9)
 
 
 def trace(m: AnnulusMap, rho: float) -> dict[int, complex]:
@@ -254,20 +249,18 @@ def conformal_modulus(m: AnnulusMap) -> float:
     return math.log(m.R)
 
 
-def is_conformal(m: AnnulusMap, tol: float = 1e-12) -> bool:
+def is_conformal(m: AnnulusMap) -> bool:
     """True iff the table is holomorphic: a0 = 0 and every b_n = 0.
 
-    The comparison is relative to max |a_n|; the all-zero map is reported
-    as conformal (degenerate constant map).
+    The comparison is relative, to 1e-12 of max |a_n|; the all-zero map is
+    reported as conformal (degenerate constant map).
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     _, a, b = m.mode_arrays()
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     anti = max(
         abs(m.log_a0), float(np.max(np.abs(b))) if b.size else 0.0
     )
-    return anti <= tol * scale
+    return anti <= 1e-12 * scale
 
 
 def rotate(m: AnnulusMap, alpha: float) -> AnnulusMap:

@@ -111,18 +111,17 @@ def energy_green(m: AnnulusMap, rho: float) -> float:
     return float(math.pi * (rho * Ud_rho - Ud_1))
 
 
-def energy_quadrature(
-    m: AnnulusMap, rho: float, M: int | None = None, rtol: float = 1e-10
-) -> float:
-    """Independent 2-D quadrature of the energy: radial Gauss-Legendre x angular trapezoid."""
+def energy_quadrature(m: AnnulusMap, rho: float) -> float:
+    """Independent 2-D quadrature of the energy: radial Gauss-Legendre x angular
+    trapezoid on max(4N + 8, 16) points."""
     _check_radius(m, rho, "(1, R]")
-    M = M or max(_quad.exact_ring_size(m.order), 16)
+    M = max(_quad.exact_ring_size(m.order), 16)
 
     def ring(r: np.ndarray) -> np.ndarray:
         jet = evaluate(m, _quad.ring_grid(r, M))
         return 2.0 * np.pi * np.mean(jet.grad_norm_sq, axis=1) * r
 
-    return _quad.radial_integral(ring, 1.0, rho, rtol=rtol)
+    return _quad.radial_integral(ring, 1.0, rho)
 
 
 def operator_L(m: AnnulusMap, rho: float, M: int | None = None) -> tuple[float, float, float]:
@@ -161,13 +160,13 @@ def operator_L(m: AnnulusMap, rho: float, M: int | None = None) -> tuple[float, 
     return L1, L2, L3
 
 
-def operator_L_conformal(m: AnnulusMap, rho: float, tol: float = 1e-12) -> float:
+def operator_L_conformal(m: AnnulusMap, rho: float) -> float:
     """Conformal-case operator (1/rho) d/drho [rho^3 d/drho (U/rho^2)].
 
     Returns the modewise sum 4 sum n(n-1)|a_n|^2 rho^{2n-2}, which is
     nonnegative and vanishes exactly for h = lambda z.
     """
-    if not is_conformal(m, tol):
+    if not is_conformal(m):
         raise ValueError("operator_L_conformal requires a conformal (holomorphic) table")
     _check_radius(m, rho, "(1, R)")
     ns, a, _ = m.mode_arrays()

@@ -1,7 +1,9 @@
 """Command-line front end: map construction, sweeps, and batch verification.
 
 Subcommands: means, verify, construct, minsurf, identity, qforms, chain,
-example51; each takes the parsed argparse namespace.  Exit codes: 0
+example51; each takes the parsed argparse namespace.  ``--quad M,K`` gives
+the ring-size floor M for means and identity and the number K of maps for
+chain.  An identity --rho-grid must lie in (1, R].  Exit codes: 0
 success, 1 failed verification check, 2 argument or file parse error,
 3 domain error (a radius outside the annulus, a table over the overflow
 cap, or a value outside the floating-point range), 4 existence bound
@@ -110,13 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rho-grid", type=_parse_rho_grid, default=None,
                    metavar="LO:HI:STEPS")
-    p.add_argument("--quad", type=_parse_quad, default=(256, 16), metavar="M,K")
+    p.add_argument("--quad", type=_parse_quad, default=(256, 16), metavar="M,K",
+                   help="M: ring-size floor for means and identity; K: maps for chain")
     p.add_argument("--R", type=float, default=None)
     p.add_argument("--Rstar", dest="R_star", type=float, default=None)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--lam", type=float, default=None)
     p.add_argument("--nitsche-v", dest="v", type=float, default=None)
-    p.add_argument("--example51", action="store_true")
     return p
 
 
@@ -124,13 +126,9 @@ def _load_map(cfg: argparse.Namespace) -> AnnulusMap:
     if cfg.map_path:
         with open(cfg.map_path, "r", encoding="utf-8") as fh:
             return read_ahm(fh)
-    if cfg.example51:
-        if cfg.a is None:
-            raise AhmFormatError("--example51 requires --a")
-        return example_51_map(cfg.a, cfg.lam, R=cfg.R or 1000.0)
     if cfg.v is not None:
         return nitsche_map(NitscheParams(v=cfg.v, R=cfg.R or 2.0))
-    raise AhmFormatError("no map given: use --map, --nitsche-v, or --example51")
+    raise AhmFormatError("no map given: use --map or --nitsche-v")
 
 
 def _fmt(x: float) -> str:
@@ -176,13 +174,9 @@ def cmd_means(cfg: argparse.Namespace) -> int:
 
 def cmd_identity(cfg: argparse.Namespace) -> int:
     m = _load_map(cfg)
-    if cfg.rho_grid is not None:
-        lo, hi, steps = cfg.rho_grid
-        targets = np.linspace(max(lo, 1.0 + 1e-6), min(hi, m.R), steps)
-    else:
-        targets = np.linspace(1.0 + (m.R - 1.0) / 10.0, m.R, 10)
+    lo, hi, steps = cfg.rho_grid or (1.0 + (m.R - 1.0) / 10.0, m.R, 10)
     rows = []
-    for sigma in targets:
+    for sigma in np.linspace(lo, hi, steps):  # verify_identity checks (1, R]
         rep = verify_identity(m, float(sigma), M=cfg.quad[0])
         rows.append([
             rep.R_eval, rep.lhs, rep.rhs, rep.residual,

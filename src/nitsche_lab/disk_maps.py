@@ -121,11 +121,12 @@ class BoundaryHomeo:
     def xi_prime(self, theta) -> np.ndarray:
         return 1.0 + self.zeta_prime(theta)
 
-    def is_monotone(self, M: int = 4096) -> bool:
-        return bool(np.min(self.xi_prime(_quad.theta_grid(M))) > 0.0)
+    def is_monotone(self) -> bool:
+        """xi' > 0 at 4096 equally spaced angles."""
+        return bool(np.min(self.xi_prime(_quad.theta_grid(4096))) > 0.0)
 
-    def require_monotone(self, M: int = 4096) -> None:
-        if not self.is_monotone(M):
+    def require_monotone(self) -> None:
+        if not self.is_monotone():
             raise NonMonotoneError("xi'(theta) <= 0 somewhere on the grid")
 
 
@@ -220,19 +221,19 @@ class ChainResult:
         )
 
 
-def jacobian_energy_chain(f: DiskMap, M: int | None = None) -> ChainResult:
+def jacobian_energy_chain(f: DiskMap) -> ChainResult:
     """Boundary |det Df| integral, Dirichlet energy, and twice the signed area.
 
     Energy and area are closed modewise sums (2 pi sum |n||c_n|^2 and
     pi sum n |c_n|^2); the boundary term is an angular trapezoid of
     |Im(conj(f_rho) f_theta)| on the unit circle, which on the boundary
-    equals |f_theta| d|f|/drho for unimodular traces.
+    equals |f_theta| d|f|/drho for unimodular traces, on max(16N + 32, 2048)
+    points.
     """
     ns, c = f.mode_arrays()
     disk_energy = float(2.0 * math.pi * np.sum(np.abs(ns) * np.abs(c) ** 2))
     signed_area = float(math.pi * np.sum(ns * np.abs(c) ** 2))
-    M = M or max(16 * f.order + 32, 2048)
-    theta = _quad.theta_grid(M)
+    theta = _quad.theta_grid(max(16 * f.order + 32, 2048))
     det_boundary = (np.conj(f.boundary_d_rho(theta)) * f.boundary_d_theta(theta)).imag
     boundary_abs_det = float(2.0 * math.pi * np.mean(np.abs(det_boundary)))
     return ChainResult(
@@ -244,10 +245,11 @@ def jacobian_energy_chain(f: DiskMap, M: int | None = None) -> ChainResult:
     )
 
 
-def disk_area_quadrature(f: DiskMap, M: int | None = None, rtol: float = 1e-10) -> float:
-    """Independent 2-D quadrature of the signed area integral of det Df."""
+def disk_area_quadrature(f: DiskMap) -> float:
+    """Independent 2-D quadrature of the signed area integral of det Df,
+    angular trapezoid on max(4N + 8, 32) points."""
     ns, c = f.mode_arrays()
-    M = M or max(_quad.exact_ring_size(f.order), 32)
+    M = max(_quad.exact_ring_size(f.order), 32)
     pos = ns > 0
     neg = ns < 0
 
@@ -262,7 +264,7 @@ def disk_area_quadrature(f: DiskMap, M: int | None = None, rtol: float = 1e-10) 
         det = np.abs(f_z) ** 2 - np.abs(f_zb) ** 2
         return 2.0 * np.pi * np.mean(det, axis=1) * r
 
-    return _quad.radial_integral(ring, 0.0, 1.0, rtol=rtol)
+    return _quad.radial_integral(ring, 0.0, 1.0)
 
 
 def boundary_normal_derivative(
@@ -415,19 +417,15 @@ def psi_region_check(resolution: int = 1000) -> PsiReport:
     )
 
 
-def random_boundary_homeo(
-    rng: np.random.Generator, n_max: int = 4, budget: float = 0.9
-) -> BoundaryHomeo:
-    """Seeded monotone circle map: |zeta'| < budget enforced by the norm
-    sum 2 n |z_n| <= budget."""
-    if not (0.0 < budget < 1.0):
-        raise ValueError("budget must lie in (0, 1)")
+def random_boundary_homeo(rng: np.random.Generator, n_max: int = 4) -> BoundaryHomeo:
+    """Seeded monotone circle map: |zeta'| < 0.9 enforced by the norm
+    sum 2 n |z_n| <= 0.9."""
     raw = {
         n: complex(rng.standard_normal(), rng.standard_normal()) / n**2
         for n in range(1, n_max + 1)
     }
     norm = sum(2.0 * n * abs(c) for n, c in raw.items())
-    scale = budget * rng.uniform(0.2, 1.0) / norm
+    scale = 0.9 * rng.uniform(0.2, 1.0) / norm
     return BoundaryHomeo(zeta_coeffs={n: scale * c for n, c in raw.items()})
 
 

@@ -113,10 +113,7 @@ def _identity_ring_size(m: AnnulusMap, M: int | None) -> int:
 
 
 def identity_rhs(
-    m: AnnulusMap,
-    R_eval: float,
-    M: int | None = None,
-    rtol: float = 1e-11,
+    m: AnnulusMap, R_eval: float, M: int | None = None
 ) -> tuple[float, tuple[float, float]]:
     """Right side at sigma = R_eval: two weighted double integrals over A(1, sigma).
 
@@ -135,7 +132,7 @@ def identity_rhs(
         ))
 
     int1, int2 = map(float, _quad.radial_integral(
-        weighted_ring_means, 1.0, R_eval, rtol=rtol))
+        weighted_ring_means, 1.0, R_eval, rtol=1e-11))
     return int1 + int2, (int1, int2)
 
 
@@ -152,12 +149,10 @@ class IdentityReport:
     rhs_integrals: tuple[float, float]
 
 
-def verify_identity(
-    m: AnnulusMap, R_eval: float, M: int | None = None, rtol: float = 1e-11
-) -> IdentityReport:
+def verify_identity(m: AnnulusMap, R_eval: float, M: int | None = None) -> IdentityReport:
     M_used = _identity_ring_size(m, M)
     lhs, terms = identity_lhs(m, R_eval)
-    rhs, ints = identity_rhs(m, R_eval, M=M_used, rtol=rtol)
+    rhs, ints = identity_rhs(m, R_eval, M=M_used)
     return IdentityReport(
         R_eval=R_eval,
         lhs=lhs,
@@ -196,13 +191,13 @@ class ThinAnnulusResult:
         )
 
 
-def thin_annulus_bound(m: AnnulusMap, sigma: float, M: int = 1024) -> ThinAnnulusResult:
+def thin_annulus_bound(m: AnnulusMap, sigma: float) -> ThinAnnulusResult:
     _check_radius(m, sigma, "(1, R]", "sigma")
     U_s, _, _ = _mode_sums(m, sigma)
     _, Ud_1, _ = _mode_sums(m, 1.0)
     margin = math.sqrt(float(U_s)) - 0.5 * (sigma + 1.0 / sigma)
 
-    M = max(M, _quad.exact_ring_size(m.order))
+    M = max(1024, _quad.exact_ring_size(m.order))
     vals = evaluate(m, _quad.ring_grid(1.0, M)).value
     winding, _ = _winding_number(vals)
     return ThinAnnulusResult(

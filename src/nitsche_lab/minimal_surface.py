@@ -65,13 +65,14 @@ def _laurent_factors(m: AnnulusMap) -> tuple[np.ndarray, np.ndarray, int]:
     return P, Q, off
 
 
-def phi_zeros(m: AnnulusMap, pad: float = 1e-9) -> list[tuple[complex, int]]:
+def phi_zeros(m: AnnulusMap) -> list[tuple[complex, int]]:
     """Zeros of phi inside the closed annulus with multiplicities.
 
     Returns [] for phi identically zero (conformal or antiholomorphic h,
     flat lift).  Roots come from the two polynomial factors z^{N+1} h_z and
-    z^{N+1} conj(h_zbar); clusters within 1e-6 are merged into one zero with
-    summed multiplicity.
+    z^{N+1} conj(h_zbar); a root within 1e-9 of the annulus counts as inside,
+    and clusters within 1e-6 are merged into one zero with summed
+    multiplicity.
     """
     P, Q, _ = _laurent_factors(m)
     roots: list[complex] = []
@@ -84,7 +85,7 @@ def phi_zeros(m: AnnulusMap, pad: float = 1e-9) -> list[tuple[complex, int]]:
         c = c[lead:]
         if c.size > 1:
             roots.extend(np.roots(c))
-    inside = [r for r in roots if 1.0 - pad <= abs(r) <= m.R + pad]
+    inside = [r for r in roots if 1.0 - 1e-9 <= abs(r) <= m.R + 1e-9]
     clusters: list[list[complex]] = []
     for r in inside:
         for cl in clusters:
@@ -165,20 +166,14 @@ class MinimalLift:
         return float(np.max(self.w) - np.min(self.w))
 
 
-def lift(
-    m: AnnulusMap,
-    n_rho: int = 33,
-    n_theta: int = 64,
-    order: int = 16,
-    closure_tol: float = 1e-8,
-) -> MinimalLift:
+def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
     """Path-integrate w over a polar grid with branch tracking.
 
     Calibrates the branch of sqrt(phi) along the unit circle first, then
     continues it along each radial ray; w comes from dw = 2 Re(w_z dz) with
     per-interval Gauss-Legendre panels.  Raises NoLiftError on an odd-order
     zero of phi and BranchError if the branch or the lift fails to close
-    around the annulus.
+    around the annulus (loop defect above 1e-8 relative).
     """
     rho_grid = np.linspace(1.0, m.R, n_rho)
     theta_grid = _quad.theta_grid(n_theta)
@@ -221,13 +216,13 @@ def lift(
     acc = 0.0
     edges = np.append(theta_grid, 2.0 * np.pi)
     for j in range(n_theta):
-        nodes, wts = _quad.gauss_legendre_panels(edges[j], edges[j + 1], sub, order)
+        nodes, wts = _quad.gauss_legendre_panels(edges[j], edges[j + 1], sub)
         p = np.sqrt(_phi(m, np.exp(1j * nodes)))
         s = _align(p, s_T[_nearest_node(nodes, 0.0, 2.0 * np.pi, M_b)])
         w_T[j] = acc
         acc += float(np.dot(wts, 2.0 * (s * np.exp(1j * nodes)).real))
     loop_residual = abs(acc - 0.0)
-    if loop_residual > closure_tol * max(1.0, np.max(np.abs(w_T))):
+    if loop_residual > 1e-8 * max(1.0, np.max(np.abs(w_T))):
         raise BranchError(
             f"lift is multivalued around the annulus: loop defect {acc:.3e}"
         )
@@ -249,7 +244,7 @@ def lift(
     for i in range(n_rho - 1):
         lo, hi = rho_grid[i], rho_grid[i + 1]
         sub_r = max(2, int(math.ceil((hi - lo) * 16)))
-        nodes, wts = _quad.gauss_legendre_panels(lo, hi, sub_r, order)
+        nodes, wts = _quad.gauss_legendre_panels(lo, hi, sub_r)
         p = np.sqrt(_phi(m, _quad.ring_grid(nodes, n_theta)))
         s = _align(p, s_rays[_nearest_node(nodes, 1.0, m.R, M_r), :])
         integrand = 2.0 * (-1j * s * eith[None, :]).real

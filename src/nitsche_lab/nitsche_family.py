@@ -166,8 +166,10 @@ def example_51_map(a: float, lam: float | None = None, R: float = 1000.0) -> Ann
     return AnnulusMap(R=R, log_a0=lam, log_b0=a, terms=terms)
 
 
-def winding_on_unit_circle(m: AnnulusMap, M: int = 4096) -> tuple[int, float]:
-    """(degree, min |h|) of the inner trace, by argument increment on a grid."""
+def winding_on_unit_circle(m: AnnulusMap) -> tuple[int, float]:
+    """(degree, min |h|) of the inner trace, by argument increment on a grid
+    of max(4096, 4N + 8) points."""
+    M = max(4096, _quad.exact_ring_size(m.order))
     return _winding_number(evaluate(m, _quad.ring_grid(1.0, M)).value)
 
 
@@ -184,23 +186,23 @@ class InitialConditions:
     mean_jacobian_at_1: float
 
 
-def check_initial_conditions(
-    m: AnnulusMap, M: int = 4096, slack: float = 1e-12
-) -> InitialConditions:
+def check_initial_conditions(m: AnnulusMap) -> InitialConditions:
     """Check the three inner-circle conditions behind the sharp bound.
 
     (I) degree-1 nonvanishing inner trace; (II) U'(1) >= 0; (III) mean
-    Jacobian over the unit circle >= 0 (angular trapezoid).  (I) and (III)
-    come from one evaluation of the M-point unit circle.
+    Jacobian over the unit circle >= 0 (angular trapezoid), each inequality
+    with slack 1e-12.  (I) and (III) come from one evaluation of the unit
+    circle on max(4096, 4N + 8) points, so the mean is exact.
     """
+    M = max(4096, _quad.exact_ring_size(m.order))
     jet = evaluate(m, _quad.ring_grid(1.0, M))
     winding, min_mod = _winding_number(jet.value)
     _, u_dot_1, _ = _mode_sums(m, 1.0)
     mean_jac = float(np.mean(jet.jacobian))
     return InitialConditions(
         I=(winding == 1 and min_mod > 0.0),
-        II=bool(u_dot_1 >= -slack),
-        III=bool(mean_jac >= -slack),
+        II=bool(u_dot_1 >= -1e-12),
+        III=bool(mean_jac >= -1e-12),
         winding=winding,
         min_modulus=min_mod,
         u_dot_at_1=float(u_dot_1),

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .annulus_core import AnnulusMap, _check_radius, _is_unimodular, evaluate
+from .annulus_core import (
+    AnnulusDomainError, AnnulusMap, _check_radius, _is_unimodular, evaluate)
 from .circle_means import _mode_sums
 
 __all__ = [
@@ -119,7 +120,7 @@ def qform_coefficients(n: int, rho: float) -> QFormEval:
     ArithmeticError where they overflow float64.
     """
     if rho <= 1.0:
-        raise ValueError(f"rho must exceed 1, got {rho}")
+        raise AnnulusDomainError(f"rho must exceed 1, got {rho}")
     if n == 0:
         lg = math.log(rho)
         A, B, C = lg * lg, 1.0, lg - 1.0
@@ -212,11 +213,6 @@ class CertificateResult:
     trace_not_unimodular: bool
 
 
-def _trace_unimodular(m: AnnulusMap, M: int = 512, tol: float = 1e-9) -> bool:
-    M = max(M, _quad.exact_ring_size(m.order))
-    return _is_unimodular(evaluate(m, _quad.ring_grid(1.0, M)).value, tol)
-
-
 def prop52_certificate(m: AnnulusMap, rho: float) -> CertificateResult:
     """Left-hand side of the large-modulus inequality at radius rho.
 
@@ -235,11 +231,12 @@ def prop52_certificate(m: AnnulusMap, rho: float) -> CertificateResult:
         - 0.5 * w * f.mean_jacobian
         - w / (4.0 * math.pi) * gap
     )
+    unit = evaluate(m, _quad.ring_grid(1.0, max(512, _quad.exact_ring_size(m.order))))
     return CertificateResult(
         value=float(value),
         rho=rho,
         below_sqrt7=rho < SQRT7,
-        trace_not_unimodular=not _trace_unimodular(m),
+        trace_not_unimodular=not _is_unimodular(unit.value),
     )
 
 

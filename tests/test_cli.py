@@ -145,6 +145,13 @@ def test_domain_errors_exit_3(critical_path, capsys):
         assert main(["example51", "--a", "0.5", "--R", "5", "--rho-grid", grid]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("domain error:") and "," not in captured.out
+    # identity needs sigma in (1, R]; qforms needs rho > 1
+    for argv in (["identity", "--nitsche-v", "0.3", "--R", "2", "--rho-grid", "0.5:20:3"],
+                 ["identity", "--nitsche-v", "0.3", "--R", "2", "--rho-grid", "1:2:3"],
+                 ["qforms", "--rho-grid", "0.5:2:3"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("domain error:") and "," not in captured.out
 
 
 def test_overflow_exits_3_with_one_line(capsys):
@@ -174,4 +181,5 @@ def test_means_routes_agree_from_the_inner_circle(tmp_path, capsys):
 
 def test_cli_surface():
     assert cli.__all__ == ["main"]
-    assert main(["qforms", "--tol", "1e-8"]) == 2  # the unused flag is gone
+    assert main(["qforms", "--tol", "1e-8"]) == 2  # the unused flags are gone
+    assert main(["means", "--example51", "--a", "0.5"]) == 2

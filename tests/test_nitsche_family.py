@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nitsche_lab import (
+    AnnulusMap,
     NitscheParams,
     NoHarmonicHomeomorphism,
     check_initial_conditions,
@@ -120,9 +121,16 @@ def test_log_example_default_lambda_is_threshold():
 def test_winding_degrees(critical):
     m2 = nitsche_map(NitscheParams(v=0.0, R=2.0))
     assert winding_on_unit_circle(m2)[0] == 1
-    from nitsche_lab import AnnulusMap
-
     sq = AnnulusMap(R=2.0, terms={2: (1.0, 0.0)})
     assert winding_on_unit_circle(sq)[0] == 2
     cond = check_initial_conditions(sq)
     assert cond.I is False and cond.winding == 2
+
+
+def test_unit_circle_ring_covers_high_order_tables():
+    # mode 4097 aliases onto mode 1 on a 4096-point circle
+    m = AnnulusMap(R=1.1, terms={1: (1.0, 0.0), 4097: (1e-3, 0.0)})
+    exact = sum(n * n * (abs(a) ** 2 - abs(b) ** 2) for n, (a, b) in m.terms.items())
+    cond = check_initial_conditions(m)
+    assert abs(cond.mean_jacobian_at_1 - exact) <= 1e-9
+    assert cond.winding == 1 and winding_on_unit_circle(m)[0] == 1
