@@ -31,6 +31,24 @@ def exact_ring_size(order: int) -> int:
     return 4 * order + 8
 
 
+def nonvanishing_samples(
+    sample: Callable[[int], np.ndarray], lip: float, order: int
+) -> tuple[np.ndarray, bool]:
+    """(values, proven): values = sample(M) is f of degree N = order on
+    theta_grid(M), |f'| <= lip.  f moves by at most 2 pi lip / M from a node
+    to the next, so min |f| > 2 pi lip / M proves f has no zero and every
+    principal argument increment between samples exact.  M doubles from the
+    power of two >= 4N + 8 until then, or stops unproven at max(4096, 4N + 8)."""
+    cap = max(4096, exact_ring_size(order))
+    M = min(1 << (exact_ring_size(order) - 1).bit_length(), cap)
+    while True:
+        values = sample(M)
+        proven = bool(np.min(np.abs(values)) > 2.0 * np.pi * lip / M)
+        if proven or M == cap:
+            return values, proven
+        M = min(2 * M, cap)
+
+
 @lru_cache(maxsize=None)
 def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.legendre.leggauss(order)

@@ -18,6 +18,8 @@ from typing import Mapping, TextIO
 
 import numpy as np
 
+from . import _quad
+
 __all__ = [
     "AnnulusMap",
     "PolarJet",
@@ -65,6 +67,8 @@ class AnnulusMap:
     terms: Mapping[int, tuple[complex, complex]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.R):
+            raise CoefficientRangeError(f"outer radius must be finite, got {self.R}")
         if not (self.R > 1.0):
             raise ValueError(f"outer radius must exceed 1, got {self.R}")
         clean: dict[int, tuple[complex, complex]] = {}
@@ -185,26 +189,6 @@ def evaluate(m: AnnulusMap, z) -> PolarJet:
     return PolarJet(value, d_rho, d_theta, d_z, d_zbar, jac, grad)
 
 
-def _winding_number(values: np.ndarray) -> tuple[int, float]:
-    """(degree, min |v|) of a closed curve sampled on a periodic grid.
-
-    The degree is the sum of the principal argument increments between
-    neighbouring samples, over 2 pi; a curve that passes through 0 at a
-    sample has no degree and reports (0, min |v|).
-    """
-    min_mod = float(np.min(np.abs(values)))
-    if not min_mod > 0.0:
-        return 0, min_mod
-    args = np.angle(np.append(values, values[0]))
-    total = float(np.sum(np.mod(np.diff(args) + np.pi, 2.0 * np.pi) - np.pi))
-    return int(round(total / (2.0 * math.pi))), min_mod
-
-
-def _is_unimodular(values: np.ndarray) -> bool:
-    """max ||v| - 1| <= 1e-9 over the samples."""
-    return bool(np.max(np.abs(np.abs(values) - 1.0)) <= 1e-9)
-
-
 def trace(m: AnnulusMap, rho: float) -> dict[int, complex]:
     """Fourier coefficients of theta -> h(rho e^{i theta})."""
     _check_radius(m, rho, "[1, R]")
@@ -212,6 +196,21 @@ def trace(m: AnnulusMap, rho: float) -> dict[int, complex]:
     for n, (a, b) in m.terms.items():
         out[n] = a * rho**n + b * rho ** (-n)
     return out
+
+
+def _inner_trace(m: AnnulusMap) -> tuple[int, float, bool]:
+    """(degree, min |h|, unimodular) of theta -> h(e^{i theta}) on the samples
+    of _quad.nonvanishing_samples, |h'| <= sum |n||c_n|.  The degree sums the
+    argument increments if h is proven nonvanishing and is 0 if undecided;
+    unimodular is max ||h| - 1| <= 1e-9 over the (at least 4N + 8) samples."""
+    lip = sum(abs(n) * abs(c) for n, c in trace(m, 1.0).items())
+    values, proven = _quad.nonvanishing_samples(
+        lambda M: evaluate(m, _quad.ring_grid(1.0, M)).value, lip, m.order)
+    args = np.angle(np.append(values, values[0]))
+    turns = float(np.sum(np.mod(np.diff(args) + np.pi, 2.0 * np.pi) - np.pi)) / (2 * math.pi)
+    degree = int(round(turns)) if proven else 0
+    modulus = np.abs(values)
+    return degree, float(modulus.min()), bool(np.max(np.abs(modulus - 1.0)) <= 1e-9)
 
 
 def solve_dirichlet(

@@ -6,8 +6,8 @@ the ring-size floor M for means and identity and the number K of maps for
 chain.  An identity --rho-grid must lie in (1, R].  Exit codes: 0
 success, 1 failed verification check, 2 argument or file parse error,
 3 domain error (a radius outside the annulus, a table over the overflow
-cap, or a value outside the floating-point range), 4 existence bound
-violated (deficit printed), 5 lift rejected.
+cap or with a non-finite R, or a value outside the floating-point range),
+4 existence bound violated (deficit printed), 5 lift rejected.
 """
 
 from __future__ import annotations

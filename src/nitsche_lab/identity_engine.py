@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _quad
 from .annulus_core import (
-    AnnulusMap, _check_radius, _is_unimodular, _winding_number, evaluate)
+    AnnulusMap, _check_radius, _inner_trace, evaluate)
 from .circle_means import _mode_sums
 from .quadratic_forms import circle_functionals
 
@@ -169,9 +169,9 @@ class ThinAnnulusResult:
     """Margin sqrt(U(sigma)) - (sigma + 1/sigma)/2 with precondition flags.
 
     The margin is guaranteed nonnegative only when every flag is clear:
-    sigma <= e (second weight nonnegative), unimodular degree-1 inner trace,
-    and U'(1) >= 0.  Out-of-regime values are still reported so the failure
-    modes can be charted.
+    sigma <= e (second weight nonnegative), a unimodular degree-1 inner
+    trace (by annulus_core._inner_trace), and U'(1) >= 0.  Out-of-regime
+    values are still reported so the failure modes can be charted.
     """
 
     sigma: float
@@ -196,15 +196,12 @@ def thin_annulus_bound(m: AnnulusMap, sigma: float) -> ThinAnnulusResult:
     U_s, _, _ = _mode_sums(m, sigma)
     _, Ud_1, _ = _mode_sums(m, 1.0)
     margin = math.sqrt(float(U_s)) - 0.5 * (sigma + 1.0 / sigma)
-
-    M = max(1024, _quad.exact_ring_size(m.order))
-    vals = evaluate(m, _quad.ring_grid(1.0, M)).value
-    winding, _ = _winding_number(vals)
+    winding, _, unimodular = _inner_trace(m)
     return ThinAnnulusResult(
         sigma=sigma,
         margin=margin,
         sigma_above_e=sigma > math.e + 1e-15,
-        trace_not_unimodular=not _is_unimodular(vals),
+        trace_not_unimodular=not unimodular,
         winding_not_one=winding != 1,
         negative_initial_slope=float(Ud_1) < -1e-12,
     )

@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _quad
-from .annulus_core import AnnulusMap, _winding_number, evaluate
+from .annulus_core import AnnulusMap, _inner_trace, evaluate
 from .circle_means import _mode_sums
+from .quadratic_forms import circle_functionals
 
 __all__ = [
     "NitscheParams",
@@ -30,7 +28,6 @@ __all__ = [
     "double_cover_map",
     "example_51_map",
     "check_initial_conditions",
-    "winding_on_unit_circle",
 ]
 
 
@@ -166,13 +163,6 @@ def example_51_map(a: float, lam: float | None = None, R: float = 1000.0) -> Ann
     return AnnulusMap(R=R, log_a0=lam, log_b0=a, terms=terms)
 
 
-def winding_on_unit_circle(m: AnnulusMap) -> tuple[int, float]:
-    """(degree, min |h|) of the inner trace, by argument increment on a grid
-    of max(4096, 4N + 8) points."""
-    M = max(4096, _quad.exact_ring_size(m.order))
-    return _winding_number(evaluate(m, _quad.ring_grid(1.0, M)).value)
-
-
 @dataclass(frozen=True)
 class InitialConditions:
     """Booleans (I),(II),(III) with the measured quantities behind them."""
@@ -189,20 +179,17 @@ class InitialConditions:
 def check_initial_conditions(m: AnnulusMap) -> InitialConditions:
     """Check the three inner-circle conditions behind the sharp bound.
 
-    (I) degree-1 nonvanishing inner trace; (II) U'(1) >= 0; (III) mean
-    Jacobian over the unit circle >= 0 (angular trapezoid), each inequality
-    with slack 1e-12.  (I) and (III) come from one evaluation of the unit
-    circle on max(4096, 4N + 8) points, so the mean is exact.
+    (I) inner trace proven nonvanishing and of degree 1 by _inner_trace, whose
+    samples give min_modulus (undecided reads degree 0); (II) U'(1) >= 0 and
+    (III) closed-form mean Jacobian over the unit circle >= 0, slack 1e-12 each.
     """
-    M = max(4096, _quad.exact_ring_size(m.order))
-    jet = evaluate(m, _quad.ring_grid(1.0, M))
-    winding, min_mod = _winding_number(jet.value)
+    winding, min_mod, _ = _inner_trace(m)
     _, u_dot_1, _ = _mode_sums(m, 1.0)
-    mean_jac = float(np.mean(jet.jacobian))
+    mean_jac = circle_functionals(m, 1.0).mean_jacobian
     return InitialConditions(
-        I=(winding == 1 and min_mod > 0.0),
+        I=winding == 1,
         II=bool(u_dot_1 >= -1e-12),
-        III=bool(mean_jac >= -1e-12),
+        III=mean_jac >= -1e-12,
         winding=winding,
         min_modulus=min_mod,
         u_dot_at_1=float(u_dot_1),

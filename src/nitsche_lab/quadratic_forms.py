@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _quad
 from .annulus_core import (
-    AnnulusDomainError, AnnulusMap, _check_radius, _is_unimodular, evaluate)
+    AnnulusDomainError, AnnulusMap, _check_radius, _inner_trace)
 from .circle_means import _mode_sums
 
 __all__ = [
@@ -116,11 +115,11 @@ def qform_coefficients(n: int, rho: float) -> QFormEval:
     """A_n, B_n, C_n at radius rho, every index case.
 
     Positivity of the forms is only guaranteed for rho >= sqrt(7); the
-    coefficients themselves are defined for any rho > 1.  Raises an
+    coefficients themselves are defined for any finite rho > 1.  Raises an
     ArithmeticError where they overflow float64.
     """
-    if rho <= 1.0:
-        raise AnnulusDomainError(f"rho must exceed 1, got {rho}")
+    if not 1.0 < rho < math.inf:
+        raise AnnulusDomainError(f"rho must lie in (1, inf), got {rho}")
     if n == 0:
         lg = math.log(rho)
         A, B, C = lg * lg, 1.0, lg - 1.0
@@ -204,7 +203,7 @@ class CertificateResult:
     guarantee does not apply and ``below_sqrt7`` is set.  When the inner
     trace is not unimodular the half-derivative term implements
     (1/2) d/drho of the mean of |h|^2 rather than the literal product mean,
-    flagged by ``trace_not_unimodular``.
+    flagged by ``trace_not_unimodular`` (from annulus_core._inner_trace).
     """
 
     value: float
@@ -231,12 +230,11 @@ def prop52_certificate(m: AnnulusMap, rho: float) -> CertificateResult:
         - 0.5 * w * f.mean_jacobian
         - w / (4.0 * math.pi) * gap
     )
-    unit = evaluate(m, _quad.ring_grid(1.0, max(512, _quad.exact_ring_size(m.order))))
     return CertificateResult(
         value=float(value),
         rho=rho,
         below_sqrt7=rho < SQRT7,
-        trace_not_unimodular=not _is_unimodular(unit.value),
+        trace_not_unimodular=not _inner_trace(m)[2],
     )
 
 

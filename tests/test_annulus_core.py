@@ -25,6 +25,7 @@ from nitsche_lab.annulus_core import (
     AhmFormatError,
     AnnulusDomainError,
     CoefficientRangeError,
+    _inner_trace,
 )
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -153,6 +154,9 @@ def test_domain_and_validation_errors():
         AnnulusMap(R=2.0, terms={1: (float("nan"), 0.0)})
     with pytest.raises(CoefficientRangeError):
         AnnulusMap(R=1000.0, terms={200: (1.0, 0.0)})  # n log R over the cap
+    for R in (math.inf, math.nan):  # no terms, so the N log R cap cannot catch it
+        with pytest.raises(CoefficientRangeError):
+            AnnulusMap(R=R)
 
 
 @settings(max_examples=25, deadline=None)
@@ -224,3 +228,49 @@ def test_radial_integral_array_valued_converges_per_component():
     scalar = _quad.radial_integral(lambda x: np.sin(200.0 * x), 0.0, 1.0)
     assert type(scalar) is float
     assert abs(scalar - val[1]) <= 1e-15
+
+
+def test_nonvanishing_samples_ring_ladder():
+    def ring_sizes(f, lip, order):
+        sizes = []
+
+        def sample(M):
+            sizes.append(M)
+            return f(_quad.theta_grid(M))
+
+        values, proven = _quad.nonvanishing_samples(sample, lip, order)
+        assert values.shape == (sizes[-1],)
+        return sizes, proven
+
+    # e^{i theta}: min |f| = 1 > 2 pi / 16 on the first ring, 16 >= 4N + 8
+    assert ring_sizes(lambda t: np.exp(1j * t), 1.0, 1) == ([16], True)
+    # f = 0 is never proven: powers of two from 64 >= 4*12 + 8 up to the cap
+    zero = lambda t: np.zeros(t.shape)  # noqa: E731
+    assert ring_sizes(zero, 0.0, 12) == ([64 * 2**k for k in range(7)], False)
+    # above N = 1022 the cap is the one ring of 4N + 8 points
+    assert ring_sizes(zero, 0.0, 2000) == ([8008], False)
+
+
+def _grid_degree(values):
+    """Oracle: argument increments between neighbouring samples, over 2 pi."""
+    args = np.angle(np.append(values, values[0]))
+    total = np.sum(np.mod(np.diff(args) + np.pi, 2.0 * np.pi) - np.pi)
+    return int(round(total / (2.0 * math.pi)))
+
+
+def test_inner_trace_degree_matches_fine_grid():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for k in range(60):
+        m = random_annulus_map(rng, n_max=2 + k % 11, R=30.0, decay=3.0, log_scale=0.3)
+        spec = np.zeros(2**16, dtype=complex)  # the trace on 2^16 angles, by FFT
+        for n, c in trace(m, 1.0).items():
+            spec[n] = c
+        fine = 2**16 * np.fft.ifft(spec)
+        if np.min(np.abs(fine)) <= 1e-2:
+            continue
+        degree, min_mod, _ = _inner_trace(m)
+        assert degree == _grid_degree(fine)
+        assert min_mod >= np.min(np.abs(fine)) * (1.0 - 1e-12)  # a subset of the nodes
+        seen.add(degree)
+    assert {-1, 1} <= seen

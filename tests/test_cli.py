@@ -137,7 +137,7 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     assert main(["means", "--map", str(garbled)]) == 2
 
 
-def test_domain_errors_exit_3(critical_path, capsys):
+def test_domain_errors_exit_3(critical_path, tmp_path, capsys):
     assert main(["means", "--map", critical_path, "--rho-grid", "1.0:5.0:10"]) == 3
     assert "domain error" in capsys.readouterr().err
     # example51 on A(1, 5): margins are only defined on [1, 5]
@@ -145,10 +145,16 @@ def test_domain_errors_exit_3(critical_path, capsys):
         assert main(["example51", "--a", "0.5", "--R", "5", "--rho-grid", grid]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("domain error:") and "," not in captured.out
-    # identity needs sigma in (1, R]; qforms needs rho > 1
+    # a table needs a finite R, even with no terms
+    inf_path = tmp_path / "inf.ahm"
+    inf_path.write_text("AHM 1\nR inf\nLOG 0 0 1 0\n", encoding="utf-8")
+    # identity needs sigma in (1, R]; qforms needs rho in (1, inf)
     for argv in (["identity", "--nitsche-v", "0.3", "--R", "2", "--rho-grid", "0.5:20:3"],
                  ["identity", "--nitsche-v", "0.3", "--R", "2", "--rho-grid", "1:2:3"],
-                 ["qforms", "--rho-grid", "0.5:2:3"]):
+                 ["qforms", "--rho-grid", "0.5:2:3"],
+                 ["qforms", "--rho-grid", "3:inf:3"],
+                 ["qforms", "--rho-grid", "nan:5:3"],
+                 ["minsurf", "--map", str(inf_path), "--out", str(tmp_path / "s.csv")]):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("domain error:") and "," not in captured.out

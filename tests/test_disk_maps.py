@@ -18,6 +18,7 @@ from nitsche_lab import (
     normal_derivative_spectral,
     poisson_extend,
     psi_region_check,
+    random_annulus_map,
     random_boundary_homeo,
     read_bhm,
     write_bhm,
@@ -47,9 +48,12 @@ def test_boundary_homeo_identity():
 
 def test_boundary_homeo_monotonicity_guard():
     steep = BoundaryHomeo(zeta_coeffs={1: 0.6})  # zeta' reaches 1.2 > 1
-    assert not steep.is_monotone()
-    with pytest.raises(NonMonotoneError):
-        steep.require_monotone()
+    # e^{4096 i theta} is 1 at 4096 equally spaced angles, yet xi' reaches -7.19
+    aliased = BoundaryHomeo(zeta_coeffs={4096: 1e-3})
+    for bdry in (steep, aliased):
+        assert not bdry.is_monotone()
+        with pytest.raises(NonMonotoneError):
+            bdry.require_monotone()
 
 
 def test_poisson_extension_of_annulus_map(critical):
@@ -57,6 +61,10 @@ def test_poisson_extension_of_annulus_map(critical):
     assert abs(f.coeffs[1] - 1.0) <= 1e-15  # c_1 = a_1 + b_1
     z = 0.5 * np.exp(0.3j)
     assert abs(f.eval(z) - z) <= 1e-15
+    # a log term does not reach the unit circle: c_0 = b_0
+    m = random_annulus_map(np.random.default_rng(2), n_max=3, log_scale=0.5)
+    expected = {0: m.log_b0, **{n: a + b for n, (a, b) in m.terms.items()}}
+    assert dict(poisson_extend(m).coeffs) == expected
 
 
 def test_poisson_extension_of_boundary_homeo():
@@ -181,6 +189,24 @@ def test_psi_closed_form_spot_values():
 def test_random_boundary_homeo_is_monotone():
     for seed in range(20):
         assert random_boundary_homeo(np.random.default_rng(seed)).is_monotone()
+
+
+def test_is_monotone_matches_fine_grid():
+    # scaled copies of random maps, some no longer monotone; maps whose xi'
+    # comes within 1e-2 of zero on the fine grid are left out
+    fine = _quad.theta_grid(2**16)
+    answers = set()
+    for seed in range(20):
+        base = random_boundary_homeo(np.random.default_rng(seed), n_max=2 + seed % 7)
+        for scale in (1.0, 1.5, 3.0):
+            bdry = BoundaryHomeo(
+                zeta_coeffs={n: scale * c for n, c in base.zeta_coeffs.items()})
+            low = float(np.min(bdry.xi_prime(fine)))
+            if abs(low) <= 1e-2:
+                continue
+            assert bdry.is_monotone() == (low > 0.0)
+            answers.add(low > 0.0)
+    assert answers == {True, False}
 
 
 def test_bhm_round_trip():

@@ -18,7 +18,7 @@ from nitsche_lab import (
     random_annulus_map,
 )
 from nitsche_lab._quad import theta_grid
-from nitsche_lab.annulus_core import evaluate
+from nitsche_lab.annulus_core import AnnulusDomainError, evaluate
 from nitsche_lab.nitsche_family import NitscheParams, nitsche_map
 from nitsche_lab.quadratic_forms import SQRT7
 
@@ -50,6 +50,9 @@ def test_mode_zero_discriminant_changes_sign_at_sqrt_e():
 def test_coefficients_reject_bad_radius():
     with pytest.raises(ValueError):
         qform_coefficients(2, 1.0)
+    for rho in (math.inf, math.nan):
+        with pytest.raises(AnnulusDomainError):
+            qform_coefficients(2, rho)
 
 
 def test_positivity_scan_report():
