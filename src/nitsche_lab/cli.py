@@ -2,9 +2,9 @@
 
 Subcommands: means, verify, construct, minsurf, identity, qforms, chain,
 example51; each takes the parsed argparse namespace.  ``--quad M,K`` gives
-the ring-size floor M for means and identity and the number K of maps for
-chain.  An identity --rho-grid must lie in (1, R].  Exit codes: 0
-success, 1 failed verification check, 2 argument or file parse error,
+the ring-size floor M for means and the number K of maps for chain.  Every
+--rho-grid needs finite bounds; an identity one must lie in (1, R].  Exit
+codes: 0 success, 1 failed verification check, 2 argument or file parse error,
 3 domain error (a radius outside the annulus, a table over the overflow
 cap or with a non-finite R, or a value outside the floating-point range),
 4 existence bound violated (deficit printed), 5 lift rejected.
@@ -91,6 +91,14 @@ def _parse_rho_grid(text: str) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
+def _rho_grid(cfg: argparse.Namespace, default: tuple[float, float, int]) -> np.ndarray:
+    """The --rho-grid radii, or the default (lo, hi, steps); bounds must be finite."""
+    lo, hi, steps = cfg.rho_grid or default
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise AnnulusDomainError(f"rho grid bounds must be finite, got {lo}:{hi}")
+    return np.linspace(lo, hi, steps)
+
+
 def _parse_quad(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -113,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-grid", type=_parse_rho_grid, default=None,
                    metavar="LO:HI:STEPS")
     p.add_argument("--quad", type=_parse_quad, default=(256, 16), metavar="M,K",
-                   help="M: ring-size floor for means and identity; K: maps for chain")
+                   help="M: ring-size floor for means; K: maps for chain")
     p.add_argument("--R", type=float, default=None)
     p.add_argument("--Rstar", dest="R_star", type=float, default=None)
     p.add_argument("--a", type=float, default=None)
@@ -160,8 +168,7 @@ def _csv(header: list[str], rows: list[list[float]]) -> str:
 
 def cmd_means(cfg: argparse.Namespace) -> int:
     m = _load_map(cfg)
-    lo, hi, steps = cfg.rho_grid or (1.0, 0.995 * m.R, 50)
-    prof = radial_profile(m, np.linspace(lo, hi, steps))  # checks [1, R)
+    prof = radial_profile(m, _rho_grid(cfg, (1.0, 0.995 * m.R, 50)))  # checks [1, R)
     L3 = [operator_L(m, rho, cfg.quad[0])[2] for rho in prof.rho_grid.tolist()]
     floor = 0.5 * (prof.rho_grid + 1.0 / prof.rho_grid)
     cols = (prof.rho_grid, prof.U, prof.U_dot, prof.U_ddot, prof.mean_radius,
@@ -174,10 +181,9 @@ def cmd_means(cfg: argparse.Namespace) -> int:
 
 def cmd_identity(cfg: argparse.Namespace) -> int:
     m = _load_map(cfg)
-    lo, hi, steps = cfg.rho_grid or (1.0 + (m.R - 1.0) / 10.0, m.R, 10)
     rows = []
-    for sigma in np.linspace(lo, hi, steps):  # verify_identity checks (1, R]
-        rep = verify_identity(m, float(sigma), M=cfg.quad[0])
+    for sigma in _rho_grid(cfg, (1.0 + (m.R - 1.0) / 10.0, m.R, 10)):
+        rep = verify_identity(m, float(sigma))  # checks sigma in (1, R]
         rows.append([
             rep.R_eval, rep.lhs, rep.rhs, rep.residual,
             *rep.lhs_terms, *rep.rhs_integrals,
@@ -189,9 +195,8 @@ def cmd_identity(cfg: argparse.Namespace) -> int:
 
 
 def cmd_qforms(cfg: argparse.Namespace) -> int:
-    lo, hi, steps = cfg.rho_grid or (SQRT7, 10.0, 30)
     rows = []
-    for rho in np.linspace(lo, hi, steps):
+    for rho in _rho_grid(cfg, (SQRT7, 10.0, 30)):
         for n in range(-10, 11):
             q = qform_coefficients(n, float(rho))
             rows.append([float(n), q.rho, q.A, q.B, q.C, q.discriminant])
@@ -274,11 +279,11 @@ def cmd_example51(cfg: argparse.Namespace) -> int:
     cond = check_initial_conditions(m)
     print(f"I {cond.I} II {cond.II} III {cond.III}")
     print(f"mean_jacobian {_fmt(cond.mean_jacobian_at_1)}")
-    lo, hi, steps = cfg.rho_grid or (1.0, min(20.0, m.R), 100)
-    for sigma in (lo, hi):
-        _check_radius(m, sigma, "[1, R]", "sigma")
+    grid = _rho_grid(cfg, (1.0, min(20.0, m.R), 100))
+    for sigma in (grid[0], grid[-1]):
+        _check_radius(m, float(sigma), "[1, R]", "sigma")
     rows = []
-    for sigma in np.linspace(lo, hi, steps):
+    for sigma in grid:
         U, _, _ = _mode_sums(m, float(sigma))
         rows.append([
             float(sigma),

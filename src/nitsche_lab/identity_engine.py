@@ -13,9 +13,11 @@ where W is the winding form, the double integrals run over A(1, sigma),
     G1 = (rho h_rho - i h_theta)/(1+rho^2) - 2 rho^2 h/(1+rho^2)^2
     G2 = (rho h_rho + i h_theta)/(1+rho^2) + 2 h/(1+rho^2)^2.
 
-The left side uses closed-form circle sums; the right side is quadrature:
-two independent routes to one number.  w1 > 0 always, while w2 >= 0 exactly
-when sigma <= e, which is where the thin-annulus lower bound comes from.
+The left side uses closed-form circle sums.  The right side is a radial
+Gauss-Legendre quadrature of the angular means of |G1|^2 and |G2|^2, each a
+per-mode (Parseval) sum: two independent routes to one number.  w1 > 0
+always, while w2 >= 0 exactly when sigma <= e, which is where the
+thin-annulus lower bound comes from.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ def g_substitute(m: AnnulusMap, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(g, g_z, g_zbar) for the factorization h = (z + 1/zbar)/2 * g.
 
     The Wirtinger derivatives are computed by the product rule on
-    g = 2 zbar h / (|z|^2 + 1); the polar closed forms used by the double
-    integrals are a separate route (see _g_derivative_moduli).
+    g = 2 zbar h / (|z|^2 + 1); the per-mode closed forms used by the double
+    integrals are a separate route (see _g_modes).
     """
     z_arr = np.asarray(z, dtype=complex)
     jet = evaluate(m, z_arr)
@@ -65,12 +67,20 @@ def g_substitute(m: AnnulusMap, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return g, g_z, g_zbar
 
 
-def _g_derivative_moduli(jet, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|g_z|^2, |g_zbar|^2) from the polar first derivatives of h only."""
-    s = rho * rho + 1.0
-    G1 = (rho * jet.d_rho - 1j * jet.d_theta) / s - 2.0 * rho * rho * jet.value / s**2
-    G2 = (rho * jet.d_rho + 1j * jet.d_theta) / s + 2.0 * jet.value / s**2
-    return np.abs(G1) ** 2, np.abs(G2) ** 2
+def _g_modes(m: AnnulusMap, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier coefficients of theta -> G1, G2 on the circles rho, shape
+    rho.shape + (modes,), the log/constant mode first.  With h_n = a_n rho^n
+    + b_n rho^-n (h_0 = a0 log rho + b0) and s = 1 + rho^2, the modes of
+    rho h_rho -+ i h_theta are a0, 2n a_n rho^n and a0, -2n b_n rho^-n."""
+    ns, a, b = m.mode_arrays()
+    r = np.asarray(rho, dtype=float)[..., None]
+    s = 1.0 + r * r
+    A, B = a * r**ns, b * r ** (-ns)
+    a0 = np.broadcast_to(m.log_a0, r.shape)
+    h = np.concatenate((m.log_a0 * np.log(r) + m.log_b0, A + B), axis=-1)
+    G1 = np.concatenate((a0, 2 * ns * A), axis=-1) / s - 2.0 * r * r * h / s**2
+    G2 = np.concatenate((a0, -2 * ns * B), axis=-1) / s + 2.0 * h / s**2
+    return G1, G2
 
 
 def weight_first(sigma: float, rho) -> np.ndarray:
@@ -107,28 +117,20 @@ def identity_lhs(m: AnnulusMap, R_eval: float) -> tuple[float, tuple[float, floa
     return t1 + t2 + t3 + t4, (t1, t2, t3, t4)
 
 
-def _identity_ring_size(m: AnnulusMap, M: int | None) -> int:
-    """The angular size M of the right side: max(M, 4N + 16, 32), M a floor."""
-    return max(M or 0, 4 * m.order + 16, 32)
-
-
-def identity_rhs(
-    m: AnnulusMap, R_eval: float, M: int | None = None
-) -> tuple[float, tuple[float, float]]:
+def identity_rhs(m: AnnulusMap, R_eval: float) -> tuple[float, tuple[float, float]]:
     """Right side at sigma = R_eval: two weighted double integrals over A(1, sigma).
 
-    Angular direction by M-point trapezoid (spectrally exact for M beyond the
-    table degree), radial direction by adaptive composite Gauss-Legendre.
+    Angular means by Parseval, the sum of |G_n|^2 over the modes of _g_modes
+    (what a trapezoid rule on more than 2N points gives), radial direction by
+    adaptive composite Gauss-Legendre.
     """
     _check_radius(m, R_eval, "(1, R]", "R_eval")
-    M = _identity_ring_size(m, M)
 
     def weighted_ring_means(r: np.ndarray) -> np.ndarray:
-        z = _quad.ring_grid(r, M)
-        gz2, gzb2 = _g_derivative_moduli(evaluate(m, z), np.abs(z))
+        G1, G2 = _g_modes(m, r)
         return np.column_stack((
-            2.0 * r * weight_first(R_eval, r) * np.mean(gz2, axis=1),
-            2.0 * r * weight_second(R_eval, r) * np.mean(gzb2, axis=1),
+            2.0 * r * weight_first(R_eval, r) * np.sum(np.abs(G1) ** 2, axis=1),
+            2.0 * r * weight_second(R_eval, r) * np.sum(np.abs(G2) ** 2, axis=1),
         ))
 
     int1, int2 = map(float, _quad.radial_integral(
@@ -144,24 +146,14 @@ class IdentityReport:
     lhs: float
     rhs: float
     residual: float
-    quad_orders: tuple[int, int]
     lhs_terms: tuple[float, float, float, float]
     rhs_integrals: tuple[float, float]
 
 
-def verify_identity(m: AnnulusMap, R_eval: float, M: int | None = None) -> IdentityReport:
-    M_used = _identity_ring_size(m, M)
+def verify_identity(m: AnnulusMap, R_eval: float) -> IdentityReport:
     lhs, terms = identity_lhs(m, R_eval)
-    rhs, ints = identity_rhs(m, R_eval, M=M_used)
-    return IdentityReport(
-        R_eval=R_eval,
-        lhs=lhs,
-        rhs=rhs,
-        residual=lhs - rhs,
-        quad_orders=(M_used, 16),
-        lhs_terms=terms,
-        rhs_integrals=ints,
-    )
+    rhs, ints = identity_rhs(m, R_eval)
+    return IdentityReport(R_eval, lhs, rhs, lhs - rhs, terms, ints)
 
 
 @dataclass(frozen=True)

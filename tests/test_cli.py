@@ -2,6 +2,7 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,15 @@ def test_domain_errors_exit_3(critical_path, tmp_path, capsys):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("domain error:") and "," not in captured.out
+    # a non-finite grid bound is refused before any grid is built: one line, no warning
+    for argv in (["means", "--nitsche-v", "0.3", "--R", "2", "--rho-grid", "3:inf:3"],
+                 ["qforms", "--rho-grid", "3:inf:3"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert not caught
+        assert err.startswith("domain error:") and err.count("\n") == 1
 
 
 def test_overflow_exits_3_with_one_line(capsys):

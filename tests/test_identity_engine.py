@@ -18,12 +18,16 @@ from nitsche_lab import (
     verify_identity,
 )
 from nitsche_lab.annulus_core import AnnulusDomainError, evaluate
-from nitsche_lab.identity_engine import (
-    _g_derivative_moduli,
-    weight_first,
-    weight_second,
-)
+from nitsche_lab.identity_engine import _g_modes, weight_first, weight_second
 from nitsche_lab.nitsche_family import NitscheParams, nitsche_map
+
+
+def _g_derivative_moduli(jet, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid oracle: (|g_z|^2, |g_zbar|^2) from the polar first derivatives of h only."""
+    s = rho * rho + 1.0
+    G1 = (rho * jet.d_rho - 1j * jet.d_theta) / s - 2.0 * rho * rho * jet.value / s**2
+    G2 = (rho * jet.d_rho + 1j * jet.d_theta) / s + 2.0 * jet.value / s**2
+    return np.abs(G1) ** 2, np.abs(G2) ** 2
 
 
 def test_constant_map_spot_value():
@@ -136,21 +140,63 @@ def test_domain_guards(critical):
 
 @pytest.mark.parametrize("sigma", [1.6, 3.5])  # second weight >= 0, then sign-changing
 def test_rhs_matches_two_scalar_integrals(sigma):
-    """Oracle for the one-pass right side: one scalar integral per weight."""
-    m = random_annulus_map(np.random.default_rng(11), n_max=6, R=4.0, log_scale=0.4)
-    M = 4 * m.order + 16
+    """Oracle for the per-mode right side: one scalar integral per weight of
+    the trapezoid mean over the jet of h on a 4N + 16-point ring."""
+    for N in (1, 4, 17, 40):
+        m = random_annulus_map(np.random.default_rng(11), n_max=N, R=4.0, log_scale=0.4)
+        assert m.log_a0 != 0 and m.log_b0 != 0 and min(m.terms) == -N
+        M = 4 * m.order + 16
 
-    def ring_mean(r, k):  # k = 0: mean |G1|^2, k = 1: mean |G2|^2
-        z = _quad.ring_grid(r, M)
-        return np.mean(_g_derivative_moduli(evaluate(m, z), np.abs(z))[k], axis=1)
+        def ring_mean(r, k):  # k = 0: mean |G1|^2, k = 1: mean |G2|^2
+            z = _quad.ring_grid(r, M)
+            return np.mean(_g_derivative_moduli(evaluate(m, z), np.abs(z))[k], axis=1)
 
-    i1 = _quad.radial_integral(
-        lambda r: 2.0 * r * weight_first(sigma, r) * ring_mean(r, 0), 1.0, sigma,
-        rtol=1e-11)
-    i2 = _quad.radial_integral(
-        lambda r: 2.0 * r * weight_second(sigma, r) * ring_mean(r, 1), 1.0, sigma,
-        rtol=1e-11)
-    _, (j1, j2) = identity_rhs(m, sigma)
-    assert abs(j1 - i1) <= 1e-13 * max(1.0, abs(i1))
-    assert abs(j2 - i2) <= 1e-13 * max(1.0, abs(i2))
-    assert verify_identity(m, sigma).rhs_integrals == (j1, j2)
+        i1 = _quad.radial_integral(
+            lambda r: 2.0 * r * weight_first(sigma, r) * ring_mean(r, 0), 1.0, sigma,
+            rtol=1e-11)
+        i2 = _quad.radial_integral(
+            lambda r: 2.0 * r * weight_second(sigma, r) * ring_mean(r, 1), 1.0, sigma,
+            rtol=1e-11)
+        _, (j1, j2) = identity_rhs(m, sigma)
+        assert abs(j1 - i1) <= 1e-13 * abs(i1)
+        assert abs(j2 - i2) <= 1e-13 * abs(i2)
+        assert verify_identity(m, sigma).rhs_integrals == (j1, j2)
+
+
+@pytest.mark.parametrize("N", [64, 128, 256])
+def test_identity_reaches_high_order(N):
+    rng = np.random.default_rng(N)
+    m = random_annulus_map(rng, n_max=N, R=3.0)
+    rep = verify_identity(m, 3.0 - 1.95 * float(rng.random()))
+    assert abs(rep.residual) <= 1e-8 * max(1.0, abs(rep.lhs))
+
+
+def test_g_modes_match_symbolic_derivation():
+    """Third route: G1, G2 of one mode h_n(rho) e^{in theta} (and of the
+    log/constant mode) by symbolic differentiation of the definitions."""
+    sp = pytest.importorskip("sympy")
+    rho = sp.Symbol("rho", positive=True)
+    theta = sp.Symbol("theta", real=True)
+    a, b = sp.symbols("a b")
+    s = 1 + rho**2
+    r0, av, bv = 1.7, 0.3 - 1.1j, -0.8 + 0.45j
+    for n in range(-3, 4):
+        if n == 0:
+            h_n = a * sp.log(rho) + b
+            m, col = AnnulusMap(R=2.0, log_a0=av, log_b0=bv), 0
+            coded = (a / s - 2 * rho**2 * h_n / s**2, a / s + 2 * h_n / s**2)
+        else:
+            h_n = a * rho**n + b * rho**-n
+            m, col = AnnulusMap(R=2.0, terms={n: (av, bv)}), 1
+            coded = (2 * n * a * rho**n / s - 2 * rho**2 * h_n / s**2,
+                     -2 * n * b * rho**-n / s + 2 * h_n / s**2)
+        h = h_n * sp.exp(sp.I * n * theta)
+        rho_h_rho, h_theta = rho * sp.diff(h, rho), sp.diff(h, theta)
+        derived = ((rho_h_rho - sp.I * h_theta) / s - 2 * rho**2 * h / s**2,
+                   (rho_h_rho + sp.I * h_theta) / s + 2 * h / s**2)
+        G = _g_modes(m, np.array([r0]))
+        for g, form, num in zip(derived, coded, G):
+            mode = sp.simplify(g * sp.exp(-sp.I * n * theta))
+            assert sp.simplify(mode - form) == 0
+            value = complex(mode.subs({rho: r0, a: av, b: bv}))
+            assert abs(value - num[0, col]) <= 1e-14 * abs(value)
