@@ -8,8 +8,13 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "theta_grid", "ring_grid", "exact_ring_size", "gauss_legendre_panels", "radial_integral"
+    "theta_grid", "ring_grid", "exact_ring_size", "gauss_legendre_panels", "radial_integral",
+    "QuadratureNotConverged",
 ]
+
+
+class QuadratureNotConverged(ArithmeticError):
+    """Panel doubling reached max_panels without meeting rtol."""
 
 
 def theta_grid(M: int) -> np.ndarray:
@@ -80,7 +85,8 @@ def radial_integral(
 ) -> float | np.ndarray:
     """Integral of a smooth f on [lo, hi]; panel doubling until relative change < rtol.
 
-    Values of f of shape (n, k) give a (k,) array, every component converged."""
+    Values of f of shape (n, k) give a (k,) array, every component converged.
+    Raises QuadratureNotConverged if max_panels panels do not meet rtol."""
     panels = 2
     nodes, weights = gauss_legendre_panels(lo, hi, panels, order)
     cur = np.dot(weights, f(nodes))
@@ -90,4 +96,8 @@ def radial_integral(
         prev, cur = cur, np.dot(weights, f(nodes))
         if np.all(np.abs(cur - prev) <= rtol * np.maximum(1.0, np.abs(cur))):
             break
+    else:
+        raise QuadratureNotConverged(
+            f"integral on [{lo}, {hi}] not converged to rtol {rtol} with "
+            f"{panels} panels of order {order}")
     return float(cur) if np.ndim(cur) == 0 else cur

@@ -30,12 +30,14 @@ __all__ = [
 ]
 
 
+@np.errstate(over="raise")
 def _mode_sums(m: AnnulusMap, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U, U_dot, U_ddot) at rho (scalar or array), termwise closed forms.
 
     Per mode n: |a rho^n + b rho^-n|^2 = |a|^2 rho^2n + |b|^2 rho^-2n
     + 2 Re(a conj(b)); the cross term is rho-free.  The log/constant pair
-    contributes |a0 log rho + b0|^2.
+    contributes |a0 log rho + b0|^2.  A sum beyond the float64 range raises
+    FloatingPointError instead of returning inf.
     """
     rho = np.asarray(rho, dtype=float)
     ns, a, b = m.mode_arrays()

@@ -6,7 +6,8 @@ the ring-size floor M for means and the number K of maps for chain.  Every
 --rho-grid needs finite bounds; an identity one must lie in (1, R].  Exit
 codes: 0 success, 1 failed verification check, 2 argument or file parse error,
 3 domain error (a radius outside the annulus, a table over the overflow
-cap or with a non-finite R, or a value outside the floating-point range),
+cap or with a non-finite R, a value outside the floating-point range such as
+an overflowed closed-form circle sum, or an unconverged radial quadrature),
 4 existence bound violated (deficit printed), 5 lift rejected.
 """
 

@@ -41,11 +41,6 @@ class BranchError(ValueError):
     """Branch tracking failed to close, or w is multivalued around the hole."""
 
 
-def _phi(m: AnnulusMap, z) -> np.ndarray:
-    jet = evaluate(m, z)
-    return jet.d_z * np.conj(jet.d_zbar)
-
-
 def _laurent_factors(m: AnnulusMap) -> tuple[np.ndarray, np.ndarray, int]:
     """Laurent coefficient arrays of h_z and conj(h_zbar) as functions of z.
 
@@ -97,16 +92,15 @@ def phi_zeros(m: AnnulusMap) -> list[tuple[complex, int]]:
     return [(complex(np.mean(cl)), len(cl)) for cl in clusters]
 
 
-def _march_branch(phi_vals: np.ndarray, start: complex) -> np.ndarray:
-    """Continue sqrt(phi) along axis 0, starting from a given branch value."""
+def _march_branch(phi_vals: np.ndarray, start) -> np.ndarray:
+    """Continue sqrt(phi) along axis 0 from a branch value start (a scalar,
+    or one value per column); a zero value keeps the previous sign."""
     p = np.sqrt(phi_vals)
     out = np.empty_like(p)
-    prev = start
-    if abs(prev) == 0:
-        prev = 1.0 + 0j
     first = p.reshape(p.shape[0], -1)
     res = out.reshape(out.shape[0], -1)
-    prev_row = np.broadcast_to(np.asarray(prev), first.shape[1:]).astype(complex).copy()
+    prev_row = np.broadcast_to(np.asarray(start, dtype=complex), first.shape[1:]).copy()
+    prev_row[prev_row == 0] = 1.0
     for k in range(first.shape[0]):
         row = first[k]
         flip = (row * np.conj(prev_row)).real < 0.0
@@ -117,22 +111,50 @@ def _march_branch(phi_vals: np.ndarray, start: complex) -> np.ndarray:
     return out
 
 
-def _nearest_node(x: np.ndarray, lo: float, hi: float, M: int) -> np.ndarray:
-    """Index of the node of linspace(lo, hi, M + 1) nearest to each x."""
-    return np.clip(np.rint((x - lo) / (hi - lo) * M).astype(int), 0, M)
+def _zero_free_branch(m: AnnulusMap, zeros, z: np.ndarray, start=None):
+    """(jet, phi, g, q g) along a path z (axis 0), from one evaluate.
+
+    g continues sqrt(phi / q^2) with q = prod (z - z0)^(k/2) over the known
+    zeros of phi, so the march follows the zero-free quotient through them,
+    and q g continues sqrt(phi) (0 where q = 0).  start is g at z[0], or None
+    for the g that makes q g the principal sqrt(phi) at z[0].
+    """
+    jet = evaluate(m, z)
+    phi = jet.d_z * np.conj(jet.d_zbar)
+    q = np.ones_like(z)
+    for z0, k in zeros:
+        q = q * (z - z0) ** (k // 2)
+    q2 = q * q
+    zero = q2 == 0
+    quotient = np.where(zero, 0.0, phi / np.where(zero, 1.0, q2))
+    if start is None:
+        start = _principal_start(complex(phi[0])) / q[0] if q[0] else 0.0
+    g = _march_branch(quotient, start)
+    return jet, phi, g, q * g
 
 
-def _dilatation(jet) -> np.ndarray:
+def _node_path(coarse: np.ndarray, end: float, panels: int):
+    """(path, weights): each coarse point followed by the Gauss-Legendre nodes
+    of its interval (equal panels each), then end; path[::K + 1] is the
+    coarse grid and end, weights has shape (intervals, K)."""
+    n = coarse.size
+    nodes, weights = _quad.gauss_legendre_panels(coarse[0], end, n * panels)
+    path = np.column_stack([coarse, nodes.reshape(n, -1)]).ravel()
+    return np.append(path, end), weights.reshape(n, -1)
+
+
+def _running_integral(first, f: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """first + integral of f (sampled on a _node_path) up to each coarse point."""
+    n, K = weights.shape
+    inner = f[:-1].reshape((n, K + 1) + f.shape[1:])[:, 1:]
+    steps = np.einsum("ik,ik...->i...", weights, inner)
+    return np.cumsum(np.concatenate([np.asarray(first)[None], steps]), axis=0)
+
+
+def _dilatation(d_z: np.ndarray, d_zbar: np.ndarray) -> np.ndarray:
     """conj(h_zbar)/h_z on a grid, nan where h_z = 0."""
-    hz_ok = np.abs(jet.d_z) > 0
-    return np.where(
-        hz_ok, np.conj(jet.d_zbar) / np.where(hz_ok, jet.d_z, 1.0), np.nan + 0j
-    )
-
-
-def _align(p: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Choose the sign of each principal sqrt to match a reference branch."""
-    return np.where((p * np.conj(ref)).real < 0.0, -p, p)
+    hz_ok = np.abs(d_z) > 0
+    return np.where(hz_ok, np.conj(d_zbar) / np.where(hz_ok, d_z, 1.0), np.nan + 0j)
 
 
 def _principal_start(phi0: complex) -> complex:
@@ -169,12 +191,17 @@ class MinimalLift:
 def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
     """Path-integrate w over a polar grid with branch tracking.
 
-    Calibrates the branch of sqrt(phi) along the unit circle first, then
-    continues it along each radial ray; w comes from dw = 2 Re(w_z dz) with
-    per-interval Gauss-Legendre panels.  Raises NoLiftError on an odd-order
-    zero of phi and BranchError if the branch or the lift fails to close
-    around the annulus (loop defect above 1e-8 relative).
+    The branch of sqrt(phi) is continued along the nodes w is integrated on:
+    around the unit circle from the principal value at z = 1, each coarse
+    angle followed by the Gauss-Legendre nodes of its interval, then up each
+    radial ray from its angle on the circle.  The known even-order zeros of
+    phi are divided out first, so the branch passes through them.  w comes
+    from dw = 2 Re(w_z dz).  Raises NoLiftError on an odd-order zero of phi
+    and BranchError if the branch or the lift fails to close around the
+    annulus (loop defect above 1e-8 relative), and ValueError for n_rho < 2.
     """
+    if n_rho < 2:
+        raise ValueError(f"lift needs n_rho >= 2 radii, got {n_rho}")
     rho_grid = np.linspace(1.0, m.R, n_rho)
     theta_grid = _quad.theta_grid(n_theta)
 
@@ -184,9 +211,8 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
         raise NoLiftError(f"odd-order zeros of phi in the annulus: {bad}")
 
     P, Q, _ = _laurent_factors(m)
-    flat = not (np.any(np.abs(P) > 0) and np.any(np.abs(Q) > 0))
-    shape = (n_rho, n_theta)
-    if flat:
+    if not (np.any(np.abs(P) > 0) and np.any(np.abs(Q) > 0)):
+        shape = (n_rho, n_theta)
         jet = evaluate(m, _quad.ring_grid(rho_grid, n_theta))
         return MinimalLift(
             base=m,
@@ -194,76 +220,44 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
             theta_grid=theta_grid,
             w=np.zeros(shape),
             sqrt_phi=np.zeros(shape, dtype=complex),
-            mu=_dilatation(jet),
+            mu=_dilatation(jet.d_z, jet.d_zbar),
             conformality_residual=0.0,
             loop_residual=0.0,
             flat=True,
         )
 
-    # dense branch march around the unit circle, calibrated at z = 1
-    M_b = max(16 * n_theta, 2048)
-    th_dense = np.linspace(0.0, 2.0 * np.pi, M_b + 1)
-    phi_T = _phi(m, np.exp(1j * th_dense))
-    start = _principal_start(complex(phi_T[0]))
-    s_T = _march_branch(phi_T, start)
-    if abs(s_T[-1] - s_T[0]) > 0.5 * abs(s_T[0]) + 1e-30:
+    # around the unit circle, calibrated at z = 1
+    th, wts_T = _node_path(theta_grid, 2.0 * np.pi, max(2, 256 // n_theta))
+    _, _, g_T, s_T = _zero_free_branch(m, zeros, np.exp(1j * th))
+    if abs(g_T[-1] - g_T[0]) > 0.5 * abs(g_T[0]) + 1e-30:
         raise BranchError("sqrt(phi) branch does not close around the unit circle")
-
-    # w along T at the coarse nodes: GL panels inside each coarse interval,
-    # branch aligned against the dense march
-    sub = max(2, M_b // n_theta // 8)
-    w_T = np.zeros(n_theta)
-    acc = 0.0
-    edges = np.append(theta_grid, 2.0 * np.pi)
-    for j in range(n_theta):
-        nodes, wts = _quad.gauss_legendre_panels(edges[j], edges[j + 1], sub)
-        p = np.sqrt(_phi(m, np.exp(1j * nodes)))
-        s = _align(p, s_T[_nearest_node(nodes, 0.0, 2.0 * np.pi, M_b)])
-        w_T[j] = acc
-        acc += float(np.dot(wts, 2.0 * (s * np.exp(1j * nodes)).real))
-    loop_residual = abs(acc - 0.0)
-    if loop_residual > 1e-8 * max(1.0, np.max(np.abs(w_T))):
+    w_T = _running_integral(0.0, 2.0 * (s_T * np.exp(1j * th)).real, wts_T)
+    loop_residual = abs(w_T[-1])
+    if loop_residual > 1e-8 * max(1.0, np.max(np.abs(w_T[:-1]))):
         raise BranchError(
-            f"lift is multivalued around the annulus: loop defect {acc:.3e}"
+            f"lift is multivalued around the annulus: loop defect {w_T[-1]:.3e}"
         )
 
-    # dense radial branch march, vectorized over the coarse rays
-    M_r = max(32 * n_rho, 1024)
-    r_dense = np.linspace(1.0, m.R, M_r + 1)
-    phi_rays = _phi(m, _quad.ring_grid(r_dense, n_theta))
-    idx_T = _nearest_node(theta_grid, 0.0, 2.0 * np.pi, M_b)
-    s_rays = _march_branch(phi_rays, 1.0)
-    # _march_branch starts from principal values; re-anchor row 0 to the T branch
-    flip0 = (s_rays[0] * np.conj(s_T[idx_T])).real < 0.0
-    s_rays = np.where(flip0[None, :], -s_rays, s_rays)
+    # up each ray, from the branch on the circle at its coarse angle
+    panels = max(2, math.ceil(16.0 * (m.R - 1.0) / (n_rho - 1)))
+    r, wts_r = _node_path(rho_grid[:-1], m.R, panels)
+    jet, phi, _, s = _zero_free_branch(
+        m, zeros, _quad.ring_grid(r, n_theta), g_T[:-1:wts_T.shape[1] + 1])
+    dw = 2.0 * (-1j * s * np.exp(1j * theta_grid)).real
+    w = _running_integral(w_T[:-1], dw, wts_r)
 
-    # integrate each radial interval with GL panels, aligned to the dense march
-    w = np.zeros(shape)
-    w[0, :] = w_T
-    eith = np.exp(1j * theta_grid)
-    for i in range(n_rho - 1):
-        lo, hi = rho_grid[i], rho_grid[i + 1]
-        sub_r = max(2, int(math.ceil((hi - lo) * 16)))
-        nodes, wts = _quad.gauss_legendre_panels(lo, hi, sub_r)
-        p = np.sqrt(_phi(m, _quad.ring_grid(nodes, n_theta)))
-        s = _align(p, s_rays[_nearest_node(nodes, 1.0, m.R, M_r), :])
-        integrand = 2.0 * (-1j * s * eith[None, :]).real
-        w[i + 1, :] = w[i, :] + wts @ integrand
-
-    # diagnostics on the coarse grid
-    jet = evaluate(m, _quad.ring_grid(rho_grid, n_theta))
-    phi_grid = jet.d_z * np.conj(jet.d_zbar)
-    ref = s_rays[_nearest_node(rho_grid, 1.0, m.R, M_r), :]
-    s_grid = _align(np.sqrt(phi_grid), ref)
-    scale = float(np.max(np.abs(jet.d_z) ** 2 + np.abs(jet.d_zbar) ** 2))
-    residual = float(np.max(np.abs((-1j * s_grid) ** 2 + phi_grid)))
+    # diagnostics on the coarse rows of the ray path
+    coarse = slice(None, None, wts_r.shape[1] + 1)
+    d_z, d_zbar, s_grid = jet.d_z[coarse], jet.d_zbar[coarse], s[coarse]
+    scale = float(np.max(np.abs(d_z) ** 2 + np.abs(d_zbar) ** 2))
+    residual = float(np.max(np.abs((-1j * s_grid) ** 2 + phi[coarse])))
     return MinimalLift(
         base=m,
         rho_grid=rho_grid,
         theta_grid=theta_grid,
         w=w,
         sqrt_phi=s_grid,
-        mu=_dilatation(jet),
+        mu=_dilatation(d_z, d_zbar),
         conformality_residual=residual / max(scale, 1e-300),
         loop_residual=loop_residual,
         flat=False,

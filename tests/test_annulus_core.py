@@ -230,6 +230,13 @@ def test_radial_integral_array_valued_converges_per_component():
     assert abs(scalar - val[1]) <= 1e-15
 
 
+def test_radial_integral_refuses_unconverged_value():
+    # x^(-1/2) is singular at 0: 256 panels still change the value by 1e-3
+    with pytest.raises(_quad.QuadratureNotConverged):
+        _quad.radial_integral(lambda x: x**-0.5, 0.0, 1.0)
+    assert issubclass(_quad.QuadratureNotConverged, ArithmeticError)
+
+
 def test_nonvanishing_samples_ring_ladder():
     def ring_sizes(f, lip, order):
         sizes = []

@@ -117,6 +117,14 @@ def test_domain_guards(critical):
         operator_L(critical, 2.0)  # [1, R): the outer circle is excluded
 
 
+def test_overflowing_mode_sums_raise():
+    # U(2) = 2^1200 is beyond float64: an error, not inf and a warning
+    m = AnnulusMap(R=math.e, terms={600: (1.0, 0.0)})
+    with pytest.raises(FloatingPointError):
+        means_closed_form(m, 2.0)
+    assert np.isfinite(means_closed_form(m, 1.5)[0])
+
+
 def test_operator_L_on_the_inner_circle(rng):
     m = random_annulus_map(rng, n_max=5, R=2.0, log_scale=0.3)
     L1, L2, L3 = operator_L(m, 1.0)

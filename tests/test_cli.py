@@ -90,6 +90,12 @@ def test_minsurf_rejects_odd_zero(tmp_path, capsys):
     write_map(p, bad)
     assert main(["minsurf", "--map", str(p)]) == 5
     assert "lift rejected" in capsys.readouterr().err
+    # sqrt(phi) closes around the hole, but the lift w does not
+    multivalued = AnnulusMap(R=2.0, terms={1: (1, 1 + 1j), 2: (-1 / 1.5, 0),
+                                           3: (1 / 6.75, 0)})
+    write_map(p, multivalued)
+    assert main(["minsurf", "--map", str(p)]) == 5
+    assert "multivalued" in capsys.readouterr().err
 
 
 def test_chain_all_hold(capsys):
@@ -170,12 +176,18 @@ def test_domain_errors_exit_3(critical_path, tmp_path, capsys):
         assert err.startswith("domain error:") and err.count("\n") == 1
 
 
-def test_overflow_exits_3_with_one_line(capsys):
+def test_overflow_exits_3_with_one_line(tmp_path, capsys):
+    p = tmp_path / "z600.ahm"  # |z^600|^2 = rho^1200 overflows at rho = 2
+    write_map(p, AnnulusMap(R=math.e, terms={600: (1.0, 0.0)}))
     for argv in (["qforms", "--rho-grid", "3:1e40:2"],
-                 ["example51", "--a", "0.9"]):  # N log R = 2417.7 > the table cap
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("domain error:") and err.count("\n") == 1
+                 ["example51", "--a", "0.9"],  # N log R = 2417.7 > the table cap
+                 ["means", "--map", str(p), "--rho-grid", "1:2:3"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert not caught and "," not in captured.out
+        assert captured.err.startswith("domain error:") and captured.err.count("\n") == 1
 
 
 def test_means_routes_agree_from_the_inner_circle(tmp_path, capsys):

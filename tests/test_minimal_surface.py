@@ -1,5 +1,6 @@
 """Isothermal lifts of harmonic maps to minimal graphs and the modulus bound."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,9 +20,12 @@ from nitsche_lab.nitsche_family import NitscheParams, nitsche_map
 
 
 def test_critical_family_lift_heights():
-    for v in (0.0, 1.0 / 3.0, 0.9):
+    # the default grid, a coarse one, and the export script's n_theta = 96
+    for (n_rho, n_theta), v in itertools.product(
+            [(33, 64), (9, 16), (33, 96)], (0.0, 1.0 / 3.0, 0.9)):
         m = nitsche_map(NitscheParams(v=v, R=2.0))
-        res = lift(m)
+        res = lift(m, n_rho, n_theta)
+        assert res.w.shape == res.sqrt_phi.shape == res.mu.shape == (n_rho, n_theta)
         expected = math.sqrt(1.0 - v * v) * np.log(res.rho_grid)
         assert np.max(np.abs(res.w - expected[:, None])) <= 1e-10
         assert res.conformality_residual <= 1e-12
@@ -74,6 +78,40 @@ def test_critical_map_phi_is_negative_real(critical):
     assert abs(complex(res.sqrt_phi[0, 0]) - 0.5j) <= 1e-12
     w_again = lift(critical).w
     assert np.array_equal(res.w, w_again)  # deterministic
+
+
+@pytest.mark.parametrize("r0, dtheta", [(1.7, 0.0), (1.5, 0.0), (1.7, 1e-4)])
+def test_lift_follows_branch_through_double_zero_on_ray(r0, dtheta):
+    # h_z = (1 - z/z0)^2 and conj(h_zbar) = c z^-4 with c = -k^2 (z0/|z0|)^2,
+    # so phi has a double zero at z0, on (or 1e-4 rad off) the grid ray
+    # theta = 2 pi 5/64; with sqrt(c) = i k z0/|z0| the exact lift is
+    # w = +-2 [Re(i sqrt(c)/z) - Re(i sqrt(c)) - (k/|z0|) log|z|]
+    k = 0.3
+    z0 = r0 * np.exp(1j * (2.0 * np.pi * 5 / 64 + dtheta))
+    c = -(k**2) * (z0 / abs(z0)) ** 2
+    m = AnnulusMap(R=2.0, terms={1: (1, 0), 2: (-1 / z0, 0),
+                                 3: (1 / (3 * z0**2), -np.conj(c) / 3)})
+    assert [mult for _, mult in phi_zeros(m)] == [2]
+    res = lift(m)
+    z = res.rho_grid[:, None] * np.exp(1j * res.theta_grid)[None, :]
+    sqrt_c = 1j * k * z0 / abs(z0)
+    exact = 2.0 * ((1j * sqrt_c / z).real - (1j * sqrt_c).real
+                   - k / abs(z0) * np.log(np.abs(z)))
+    ray = res.w[:, 5]
+    assert min(np.max(np.abs(ray - s * exact[:, 5])) for s in (1, -1)) <= 1e-12
+    assert min(np.max(np.abs(res.w - s * exact)) for s in (1, -1)) <= 1e-12
+
+
+def test_lift_refusals():
+    # phi winds once around the unit circle: sqrt(phi) changes sign
+    with pytest.raises(BranchError, match="does not close around the unit circle"):
+        lift(AnnulusMap(R=2.0, terms={1: (-0.5, 0.3), 2: (0.5, 0.0)}))
+    # sqrt(phi) closes, but w gains 5.72 around the hole
+    with pytest.raises(BranchError, match="multivalued"):
+        lift(AnnulusMap(R=2.0, terms={1: (1, 1 + 1j), 2: (-1 / 1.5, 0),
+                                      3: (1 / 6.75, 0)}))
+    with pytest.raises(ValueError, match="n_rho"):
+        lift(nitsche_map(NitscheParams(v=0.3, R=2.0)), n_rho=1)
 
 
 def test_catenoid_modulus_inverts_mean_radius():

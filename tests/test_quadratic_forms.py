@@ -85,6 +85,15 @@ def test_coefficient_overflow_raises(n):
         positivity_scan(n_lo=n, n_hi=n, rho_grid=np.array([3.0, 1e40]))
 
 
+def test_certificate_overflow_raises():
+    # |z^300|^2 at rho = 7 is 7^600 > 1.8e308 on both routes
+    m = AnnulusMap(R=math.e**2, terms={300: (1.0, 0.0)})
+    with pytest.raises(FloatingPointError):
+        prop52_certificate(m, 7.0)
+    with pytest.raises(OverflowError):
+        qform_decomposition(m, 7.0)
+
+
 def test_intermediate_bounds_pointwise():
     for rho in (SQRT7, 3.0, 10.0):
         for n in range(2, 15):
