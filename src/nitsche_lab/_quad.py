@@ -22,6 +22,19 @@ def theta_grid(M: int) -> np.ndarray:
     return np.arange(M) * (2.0 * np.pi / M)
 
 
+def circle_samples(ns: np.ndarray, coeffs: np.ndarray, M: int) -> np.ndarray:
+    """sum_k coeffs[k] e^{i ns[k] theta} on theta_grid(M), by one inverse FFT.
+
+    On the uniform grid the sum is an inverse DFT with mode n at index n mod M;
+    M must exceed max(ns) - min(ns), or two modes would share an index."""
+    ns = np.asarray(ns, dtype=np.int64)
+    if ns.size and M <= int(ns.max() - ns.min()):
+        raise ValueError(f"{M} points alias modes {ns.min()}..{ns.max()}")
+    spec = np.zeros(M, dtype=complex)
+    spec[ns % M] = coeffs
+    return np.fft.ifft(spec, norm="forward")
+
+
 def ring_grid(rho, M: int) -> np.ndarray:
     """Points rho e^{i theta} at the M trapezoid nodes, shape rho.shape + (M,).
 

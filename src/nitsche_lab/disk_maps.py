@@ -65,6 +65,14 @@ def _circle_series(theta, ns: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(theta, ns)) @ coeffs
 
 
+def _require_ring_size(bdry: BoundaryHomeo, M: int) -> None:
+    """Refuse trapezoid rings too coarse for the functionals of bdry: below
+    4N + 8 points the means of a degree-N map are no longer exact."""
+    floor = _quad.exact_ring_size(bdry.order)
+    if M < floor:
+        raise ValueError(f"ring of {M} points below {floor} for a degree-{bdry.order} map")
+
+
 def _zeta_difference(bdry: BoundaryHomeo, theta, alpha: np.ndarray) -> np.ndarray:
     """zeta(theta) - zeta(theta - alpha) on the outer (theta, alpha) grid, in the
     separable form 2 Re sum_n z_n e^{in theta} (1 - e^{-in alpha})."""
@@ -229,13 +237,16 @@ def jacobian_energy_chain(f: DiskMap) -> ChainResult:
     pi sum n |c_n|^2); the boundary term is an angular trapezoid of
     |Im(conj(f_rho) f_theta)| on the unit circle, which on the boundary
     equals |f_theta| d|f|/drho for unimodular traces, on max(16N + 32, 2048)
-    points.
+    points.  The traces f_rho and f_theta on that grid each come from one
+    inverse FFT of their coefficients |n| c_n and i n c_n.
     """
     ns, c = f.mode_arrays()
     disk_energy = float(2.0 * math.pi * np.sum(np.abs(ns) * np.abs(c) ** 2))
     signed_area = float(math.pi * np.sum(ns * np.abs(c) ** 2))
-    theta = _quad.theta_grid(max(16 * f.order + 32, 2048))
-    det_boundary = (np.conj(f.boundary_d_rho(theta)) * f.boundary_d_theta(theta)).imag
+    M = max(16 * f.order + 32, 2048)
+    f_rho = _quad.circle_samples(ns, np.abs(ns) * c, M)
+    f_theta = _quad.circle_samples(ns, 1j * ns * c, M)
+    det_boundary = (np.conj(f_rho) * f_theta).imag
     boundary_abs_det = float(2.0 * math.pi * np.mean(np.abs(det_boundary)))
     return ChainResult(
         boundary_abs_det=boundary_abs_det,
@@ -278,6 +289,7 @@ def boundary_normal_derivative(
     xi'(theta)^2.  Trapezoid in alpha is spectrally accurate because the
     extended integrand is smooth and periodic.
     """
+    _require_ring_size(bdry, M)
     bdry.require_monotone()
     alpha = _quad.theta_grid(M)
     beta = alpha[1:] + _zeta_difference(bdry, theta, alpha[1:])
@@ -303,6 +315,7 @@ def lemma_functional(bdry: BoundaryHomeo, M: int = 512) -> float:
     the alpha = 0 column takes the diagonal limit xi'(theta)^2.  Zero exactly
     for xi = theta + const.
     """
+    _require_ring_size(bdry, M)
     bdry.require_monotone()
     theta = _quad.theta_grid(M)
     zp = bdry.zeta_prime(theta)
@@ -357,16 +370,19 @@ def lemma_functional_split(
     periodic trapezoid; each alpha band uses composite Gauss-Legendre (nodes
     never hit the removable point alpha = 0).
     """
+    _require_ring_size(bdry, M)
+    if panels < 1:
+        raise ValueError("need at least one Gauss-Legendre panel per band")
     bdry.require_monotone()
     theta = _quad.theta_grid(M)
     zp = bdry.zeta_prime(theta)
 
     a_nodes, a_wts = _quad.gauss_legendre_panels(-np.pi / 2, np.pi / 2, panels)
-    beta = _zeta_difference(bdry, theta, a_nodes)
-    ratio = _one_minus_cos(beta) / _one_minus_cos(a_nodes)[None, :]
+    one_minus_cos_beta = _one_minus_cos(_zeta_difference(bdry, theta, a_nodes))
+    ratio = one_minus_cos_beta / _one_minus_cos(a_nodes)[None, :]
     theta_mean_Ap = np.mean(ratio * zp[:, None], axis=0)
     theta_mean_Bp = np.mean(ratio, axis=0)
-    theta_mean_lb = np.mean(_one_minus_cos(beta), axis=0)
+    theta_mean_lb = np.mean(one_minus_cos_beta, axis=0)
     A_plus = float(2.0 * np.pi * np.dot(a_wts, np.cos(a_nodes) * theta_mean_Ap))
     B_plus = float(2.0 * np.pi * np.dot(a_wts, theta_mean_Bp))
     plus_lb = float(2.0 * np.pi * np.dot(a_wts, theta_mean_lb))
@@ -421,6 +437,8 @@ def psi_region_check(resolution: int = 1000) -> PsiReport:
 def random_boundary_homeo(rng: np.random.Generator, n_max: int = 4) -> BoundaryHomeo:
     """Seeded monotone circle map: |zeta'| < 0.9 enforced by the norm
     sum 2 n |z_n| <= 0.9."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     raw = {
         n: complex(rng.standard_normal(), rng.standard_normal()) / n**2
         for n in range(1, n_max + 1)

@@ -27,6 +27,7 @@ from nitsche_lab import _quad
 from nitsche_lab.disk_maps import (
     BhmFormatError,
     NonMonotoneError,
+    _circle_series,
     _one_minus_cos,
     disk_area_quadrature,
     psi,
@@ -92,6 +93,33 @@ def test_chain_is_strict_for_perturbations(rng):
         assert res.disk_energy >= res.twice_area - 1e-10
         assert abs(res.signed_area - math.pi) <= 1e-10
         assert abs(disk_area_quadrature(f) - res.signed_area) <= 1e-8
+
+
+def test_circle_samples_match_series(rng):
+    """Oracle for the inverse-FFT route: the dense exponential sum."""
+    for ns in (np.arange(-5, 8), np.array([-9, -2, 0, 3, 11]), np.array([0, 4, 6])):
+        c = rng.standard_normal(ns.size) + 1j * rng.standard_normal(ns.size)
+        span = int(ns.max() - ns.min())
+        for M in (span + 1, 4096):
+            fast = _quad.circle_samples(ns, c, M)
+            slow = _circle_series(_quad.theta_grid(M), ns, c)
+            assert np.max(np.abs(fast - slow)) <= 1e-13 * np.sum(np.abs(c))
+        with pytest.raises(ValueError):
+            _quad.circle_samples(ns, c, span)
+
+
+def test_chain_boundary_term_matches_direct_trapezoid(rng):
+    """Oracle for the chain's boundary term: the DiskMap boundary series on
+    the same grid."""
+    maps = [poisson_extend(random_boundary_homeo(rng), N=N) for N in (1, 8, 96)]
+    maps.append(poisson_extend(random_annulus_map(rng, n_max=5)))  # two-sided modes
+    assert min(maps[-1].mode_arrays()[0]) < 0 < max(maps[-1].mode_arrays()[0])
+    for f in maps:
+        theta = _quad.theta_grid(max(16 * f.order + 32, 2048))
+        det = (np.conj(f.boundary_d_rho(theta)) * f.boundary_d_theta(theta)).imag
+        want = 2.0 * np.pi * np.mean(np.abs(det))
+        got = jacobian_energy_chain(f).boundary_abs_det
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_normal_derivative_matches_spectral(rng):
@@ -168,6 +196,23 @@ def test_difference_kernel_matches_pointwise_xi(rng):
         vals = _one_minus_cos(xi_difference(t, theta[1:])[0]) / _one_minus_cos(theta[1:])
         want = (float(bdry.xi_prime(t)) ** 2 + np.sum(vals)) / M
         assert close(boundary_normal_derivative(bdry, t, M=M), want)
+
+
+def test_coarse_grids_are_refused():
+    bdry = random_boundary_homeo(np.random.default_rng(0), n_max=4)
+    floor = _quad.exact_ring_size(bdry.order)
+    for M in (0, 1, floor - 1):
+        with pytest.raises(ValueError):
+            lemma_functional(bdry, M=M)
+        with pytest.raises(ValueError):
+            lemma_functional_split(bdry, M=M)
+        with pytest.raises(ValueError):
+            boundary_normal_derivative(bdry, 0.3, M=M)
+    assert lemma_functional(bdry, M=floor) >= -1e-9
+    with pytest.raises(ValueError):
+        lemma_functional_split(bdry, panels=0)
+    with pytest.raises(ValueError):
+        random_boundary_homeo(np.random.default_rng(0), n_max=0)
 
 
 def test_psi_region_scan():
