@@ -1,13 +1,16 @@
 """Command-line front end: map construction, sweeps, and batch verification.
 
 Subcommands: means, verify, construct, minsurf, identity, qforms, chain,
-example51; each takes the parsed argparse namespace.  ``--quad M,K`` gives
+example51; each takes the parsed argparse namespace.  verify runs the check
+registry ``nitsche_lab.checks`` at its small sizes, the same functions the
+acceptance tests run at full size.  ``--quad M,K`` gives
 the ring-size floor M for means and the number K of maps for chain.  Every
 --rho-grid needs finite bounds; an identity one must lie in (1, R].  Exit
 codes: 0 success, 1 failed verification check, 2 argument or file parse error,
 3 domain error (a radius outside the annulus, a table over the overflow
-cap or with a non-finite R, a value outside the floating-point range such as
-an overflowed closed-form circle sum, or an unconverged radial quadrature),
+cap or with a non-finite R, a non-finite construct radius, a value outside the
+floating-point range such as an overflowed closed-form circle sum, or an
+unconverged radial quadrature),
 4 existence bound violated (deficit printed), 5 lift rejected.
 """
 
@@ -21,56 +24,19 @@ import tempfile
 
 import numpy as np
 
-from . import _quad
+from . import _quad, checks
 from .annulus_core import (
-    AhmFormatError,
-    AnnulusDomainError,
-    AnnulusMap,
-    CoefficientRangeError,
-    _check_radius,
-    evaluate,
-    random_annulus_map,
-    read_ahm,
-    write_ahm,
-)
-from .circle_means import (
-    _mode_sums,
-    energy_green,
-    energy_quadrature,
-    operator_L,
-    radial_profile,
-)
-from .disk_maps import (
-    jacobian_energy_chain,
-    lemma_functional,
-    poisson_extend,
-    psi_region_check,
-    random_boundary_homeo,
-)
+    AhmFormatError, AnnulusDomainError, AnnulusMap, CoefficientRangeError,
+    _check_radius, evaluate, read_ahm, write_ahm)
+from .circle_means import _mode_sums, operator_L, radial_profile
+from .disk_maps import jacobian_energy_chain, poisson_extend, random_boundary_homeo
 from .identity_engine import verify_identity
 from .minimal_surface import (
-    BranchError,
-    NoLiftError,
-    catenoid_modulus,
-    lift,
-    modulus_bound_check,
-)
+    BranchError, NoLiftError, catenoid_modulus, lift, modulus_bound_check)
 from .nitsche_family import (
-    NitscheParams,
-    NoHarmonicHomeomorphism,
-    check_initial_conditions,
-    construct_harmonic_homeo,
-    energy_minimizer,
-    example_51_map,
-    nitsche_map,
-)
-from .quadratic_forms import (
-    SQRT7,
-    positivity_scan,
-    prop52_certificate,
-    qform_coefficients,
-    qform_decomposition,
-)
+    NitscheParams, NoHarmonicHomeomorphism, check_initial_conditions,
+    construct_harmonic_homeo, example_51_map, nitsche_map)
+from .quadratic_forms import SQRT7, qform_coefficients
 
 __all__ = ["main"]
 
@@ -245,7 +211,8 @@ def cmd_minsurf(cfg: argparse.Namespace) -> int:
     cols = [x.ravel() for x in (rho, theta, h.real, h.imag, res.w, residual)]
     U_R, _, _ = _mode_sums(m, m.R)
     U_1, _, _ = _mode_sums(m, 1.0)
-    ratio = math.sqrt(float(U_R) / float(U_1))
+    # the image annulus has one radii ratio whichever circle maps outward
+    ratio = math.sqrt(float(max(U_R, U_1)) / float(min(U_R, U_1)))
     holds, slack = modulus_bound_check(math.log(m.R), ratio)
     print(f"modulus {_fmt(math.log(m.R))} catenoid_cap "
           f"{_fmt(catenoid_modulus(ratio))} slack {_fmt(slack)} "
@@ -294,109 +261,13 @@ def cmd_example51(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_checks(cfg: argparse.Namespace) -> list[tuple[str, float, float, bool]]:
-    """The registered batch checks: (name, value, threshold, passed).
-
-    Values are defined so that a check passes iff value <= threshold.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    checks: list[tuple[str, float, float, bool]] = []
-
-    def add(name: str, value: float, threshold: float) -> None:
-        checks.append((name, value, threshold, value <= threshold))
-
-    crit = nitsche_map(NitscheParams(v=0.0, R=2.0))
-    rhos = np.linspace(1.0, 1.99, 50)
-    U, _, _ = _mode_sums(crit, rhos)
-    add("critical_equality", float(np.max(np.abs(
-        np.sqrt(U) - 0.5 * (rhos + 1.0 / rhos)))), 1e-12)
-
-    for name, m in (
-        ("identity_constant", AnnulusMap(R=2.0, log_b0=1.0)),
-        ("identity_linear", AnnulusMap(R=2.0, terms={1: (1.0, 0.0)})),
-    ):
-        rep = verify_identity(m, 2.0)
-        add(name, abs(rep.residual) / max(1.0, abs(rep.lhs)), 1e-8)
-    worst = 0.0
-    for _ in range(20):
-        m = random_annulus_map(rng, n_max=6, R=2.5)
-        sigma = float(rng.uniform(1.1, 2.5))
-        rep = verify_identity(m, sigma)
-        worst = max(worst, abs(rep.residual) / max(1.0, abs(rep.lhs)))
-    add("identity_random", worst, 1e-8)
-
-    scan = positivity_scan(rho_grid=np.arange(SQRT7, 25.0, 0.1))
-    add("qform_positivity", -min(scan.min_A, scan.min_B, scan.min_discriminant),
-        0.0)
-    worst = 0.0
-    floor = 0.0
-    for _ in range(50):
-        m = random_annulus_map(rng, n_max=6, R=30.0, decay=3.0, log_scale=0.3)
-        rho = float(rng.uniform(SQRT7, 0.99 * m.R))
-        cert = prop52_certificate(m, rho)
-        dec = qform_decomposition(m, rho)
-        worst = max(worst, abs(cert.value - dec) / max(1.0, abs(cert.value)))
-        floor = min(floor, cert.value)
-    add("certificate_decomposition", worst, 1e-12)
-    add("certificate_nonnegative", -floor, 1e-10)
-
-    worst_chain = 0.0
-    worst_area = 0.0
-    for _ in range(10):
-        bdry = random_boundary_homeo(rng)
-        f = poisson_extend(bdry, N=96)
-        res = jacobian_energy_chain(f)
-        worst_chain = max(
-            worst_chain,
-            res.disk_energy - res.boundary_abs_det,
-            res.twice_area - res.disk_energy,
-        )
-        worst_area = max(worst_area, abs(res.signed_area - math.pi))
-    add("chain_order", worst_chain, 1e-8)
-    add("chain_area", worst_area, 1e-8)
-
-    worst = 0.0
-    for _ in range(10):
-        worst = min(worst, lemma_functional(random_boundary_homeo(rng), M=256))
-    add("lemma_functional_nonnegative", -worst, 1e-9)
-
-    psi_rep = psi_region_check(resolution=300)
-    add("psi_region", -psi_rep.min_value, 1e-12)
-
-    m51 = example_51_map(0.5, 2.0)
-    cond = check_initial_conditions(m51)
-    add("example51_conditions",
-        0.0 if (cond.I and cond.II and not cond.III) else 1.0, 0.0)
-    # mean Jacobian of the log example: -(1 + a^2)/(1 - a^2), lambda-free
-    add("example51_jacobian",
-        abs(cond.mean_jacobian_at_1 + 5.0 / 3.0), 1e-9)
-
-    res = lift(crit)
-    add("catenoid_lift", float(np.max(np.abs(
-        res.w - np.log(res.rho_grid)[:, None]))), 1e-10)
-
-    e_green = energy_green(crit, 2.0)
-    add("energy_green_vs_quadrature",
-        abs(e_green - energy_quadrature(crit, 2.0)) / e_green, 1e-9)
-    mins = energy_minimizer(2.0, 1.5)
-    cons = construct_harmonic_homeo(2.0, 1.5)
-    add("minimizer_matches_construction", max(
-        abs(mins.terms[1][0] - cons.terms[1][0]),
-        abs(mins.terms[1][1] - cons.terms[1][1])), 1e-14)
-    return checks
-
-
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    checks = _verify_checks(cfg)
-    lines = []
-    all_ok = True
-    for name, value, threshold, ok in checks:
-        all_ok &= ok
-        lines.append(
-            f"{name} {_fmt(value)} {_fmt(threshold)} {'PASS' if ok else 'FAIL'}"
-        )
-    report = "\n".join(lines) + "\n"
-    _write_text(cfg, report)
+    rng = np.random.default_rng(cfg.seed)
+    results = [r for check in checks.REGISTRY for r in check(rng, False)]
+    all_ok = all(r.passed for r in results)
+    _write_text(cfg, "".join(
+        f"{r.name} {_fmt(r.value)} {_fmt(r.threshold)} {'PASS' if r.passed else 'FAIL'}\n"
+        for r in results))
     if cfg.out_path:
         print("PASS" if all_ok else "FAIL")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .annulus_core import AnnulusMap, _inner_trace, evaluate
+from .annulus_core import AnnulusMap, CoefficientRangeError, _inner_trace, evaluate
 from .circle_means import _mode_sums
 from .quadratic_forms import circle_functionals
 
@@ -68,6 +68,8 @@ def nitsche_map(params: NitscheParams) -> AnnulusMap:
 
 def nitsche_bound_holds(R: float, R_star: float) -> bool:
     """Sharp existence condition R* >= (R + 1/R)/2 on normalized annuli."""
+    if not (math.isfinite(R) and math.isfinite(R_star)):
+        raise CoefficientRangeError(f"radii must be finite, got R={R}, R*={R_star}")
     if R <= 1 or R_star <= 1:
         raise ValueError("both radii must exceed 1")
     return R_star >= 0.5 * (R + 1.0 / R)

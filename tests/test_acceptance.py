@@ -1,7 +1,10 @@
-"""Acceptance gate: ten end-to-end criteria, one pass/fail line each.
+"""Acceptance gate: ten end-to-end criteria, one pass/fail line per figure.
 
-Run with ``pytest -v tests/test_acceptance.py``; each test prints its
-measured figure of merit next to the stated tolerance.
+Each test runs its criteria from ``nitsche_lab.checks``, the registry that
+``nitsche-lab verify`` runs at smaller sizes, here with ``full=True`` on the
+test's own seed, and keeps its further closed-form assertions inline.  Run
+with ``pytest -v -s tests/test_acceptance.py`` to see each measured figure of
+merit next to its threshold.
 """
 
 import math
@@ -11,164 +14,86 @@ import numpy as np
 from nitsche_lab import (
     AnnulusMap,
     NoHarmonicHomeomorphism,
-    check_initial_conditions,
     construct_harmonic_homeo,
     energy_green,
-    energy_quadrature,
-    energy_minimizer,
     jacobian_energy_chain,
     lemma_functional,
-    lift,
     means_closed_form,
     modulus_bound_check,
-    operator_L_conformal,
     poisson_extend,
-    positivity_scan,
-    prop52_certificate,
-    psi_region_check,
     qform_coefficients,
-    qform_decomposition,
-    random_annulus_map,
-    random_boundary_homeo,
     verify_identity,
 )
+from nitsche_lab import checks
 from nitsche_lab.disk_maps import BoundaryHomeo, psi
 from nitsche_lab.nitsche_family import NitscheParams, example_51_map, nitsche_map
-from nitsche_lab.quadratic_forms import SQRT7
 
 
-def _report(name: str, value: float, threshold: float) -> None:
-    print(f"[acceptance] {name}: value {value:.6e} threshold {threshold:.1e} PASS")
+def _gate(check, seed: int | None) -> list[checks.CheckResult]:
+    """Run one registry check at the gate's sizes; every result must pass.
+
+    ``seed`` is None for the checks that draw nothing.
+    """
+    results = check(np.random.default_rng(seed), True)
+    for r in results:
+        print(f"[acceptance] {r.name}: value {r.value:.6e} "
+              f"threshold {r.threshold:.1e} {'PASS' if r.passed else 'FAIL'}")
+    assert all(r.passed for r in results), results
+    return results
 
 
 def test_01_critical_map_radius_equality():
-    worst = 0.0
-    for R in (2.0, math.e, 10.0):
-        m = nitsche_map(NitscheParams(v=0.0, R=R))
-        rhos = np.linspace(1.0, 0.999 * R, 50)
-        for rho in rhos:
-            U, _, _ = means_closed_form(m, float(rho))
-            worst = max(worst, abs(math.sqrt(U) - 0.5 * (rho + 1.0 / rho)))
-    assert worst <= 1e-12
-    _report("critical_map_equality", worst, 1e-12)
+    _gate(checks.check_critical_equality, None)
 
 
 def test_02_identity_residual():
-    const = AnnulusMap(R=2.0, log_b0=1.0)
-    rep = verify_identity(const, 2.0)
+    rep = verify_identity(AnnulusMap(R=2.0, log_b0=1.0), 2.0)
     assert abs(rep.lhs - (-0.9 + 3.0 * math.log(2.0))) <= 1e-12
-    worst = abs(rep.residual) / max(1.0, abs(rep.lhs))
-
-    lin = AnnulusMap(R=2.0, terms={1: (1.0, 0.0)})
-    rep = verify_identity(lin, 2.0)
+    rep = verify_identity(AnnulusMap(R=2.0, terms={1: (1.0, 0.0)}), 2.0)
     assert abs(rep.lhs - 0.9) <= 1e-12
-    worst = max(worst, abs(rep.residual) / max(1.0, abs(rep.lhs)))
-
-    rng = np.random.default_rng(20260823)
-    for _ in range(200):
-        m = random_annulus_map(rng, n_max=8, R=3.0)
-        sigma = float(rng.uniform(1.01, 3.0))
-        rep = verify_identity(m, sigma)
-        worst = max(worst, abs(rep.residual) / max(1.0, abs(rep.lhs)))
-    assert worst <= 1e-8
-    _report("identity_residual", worst, 1e-8)
+    _gate(checks.check_identity_residual, 20260823)
 
 
 def test_03_quadratic_form_positivity():
-    grid = np.arange(SQRT7, 25.0 + 1e-12, 1e-2)
-    scan = positivity_scan(n_lo=-40, n_hi=40, rho_grid=grid)
-    assert scan.min_A > 0.0
-    assert scan.min_B > 0.0
-    assert scan.min_discriminant > 0.0
-    assert scan.positive_bound_ok
-    assert scan.negative_bound_ok
-    assert scan.all_positive
+    (res,) = _gate(checks.check_qform_positivity, None)
+    assert res.value < 0.0  # min A_n, min B_n and min discriminant all > 0
     spot = qform_coefficients(2, 3.0)
     assert abs(spot.A - 511.0 / 9.0) <= 1e-9
-    _report("qform_positivity_min_disc", scan.min_discriminant, 0.0)
 
 
 def test_04_certificate_decomposition_equivalence():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    floor = 0.0
-    for _ in range(500):
-        m = random_annulus_map(rng, n_max=6, R=30.0, decay=3.0, log_scale=0.3)
-        rho = float(rng.uniform(SQRT7, 0.99 * m.R))
-        cert = prop52_certificate(m, rho)
-        dec = qform_decomposition(m, rho)
-        worst = max(worst, abs(cert.value - dec) / max(1.0, abs(cert.value)))
-        floor = min(floor, cert.value)
-    assert worst <= 1e-12
-    assert floor >= -1e-10
-    _report("certificate_decomposition", worst, 1e-12)
+    _gate(checks.check_certificate, 42)
 
 
 def test_05_jacobian_energy_chain():
     res = jacobian_energy_chain(poisson_extend(BoundaryHomeo(zeta_coeffs={})))
     for got in (res.boundary_abs_det, res.disk_energy, res.twice_area):
         assert abs(got - 2.0 * math.pi) <= 1e-10
-
-    rng = np.random.default_rng(7)
-    worst_slack = 0.0
-    worst_area = 0.0
-    for _ in range(50):
-        f = poisson_extend(random_boundary_homeo(rng), N=96)
-        r = jacobian_energy_chain(f)
-        worst_slack = max(
-            worst_slack,
-            r.disk_energy - r.boundary_abs_det,
-            r.twice_area - r.disk_energy,
-        )
-        worst_area = max(worst_area, abs(r.signed_area - math.pi))
-    assert worst_slack <= 1e-8
-    assert worst_area <= 1e-8
-    _report("chain_order_slack", worst_slack, 1e-8)
+    _gate(checks.check_chain, 7)
 
 
 def test_06_boundary_functional_and_kernel_region():
     rotation = BoundaryHomeo(zeta_coeffs={0: 0.7})
     assert abs(lemma_functional(rotation)) <= 1e-9
-
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(50):
-        worst = min(worst, lemma_functional(random_boundary_homeo(rng)))
-    assert worst >= -1e-9
-
-    rep = psi_region_check(resolution=1000)
-    assert rep.min_value >= -1e-12
-    assert rep.case1_decreasing and rep.case2_decreasing
+    _gate(checks.check_boundary_functional, 11)
     corner = float(psi(math.pi / 2, -math.pi / 2))
     assert abs(corner - (2.0 - math.pi / 2)) <= 1e-15
     assert corner > 0.0
-    _report("psi_region_min", rep.min_value, -1e-12)
 
 
 def test_07_insufficient_initial_conditions_example():
-    m = example_51_map(0.5, 2.0)
-    cond = check_initial_conditions(m)
-    assert cond.I and cond.II and not cond.III
-    # closed form of the unit-circle mean Jacobian: -(1 + a^2)/(1 - a^2)
-    assert abs(cond.mean_jacobian_at_1 + 5.0 / 3.0) <= 1e-9
-    U12, _, _ = means_closed_form(m, 12.0)
+    _gate(checks.check_example51, None)
+    U12, _, _ = means_closed_form(example_51_map(0.5, 2.0), 12.0)
     margin = math.sqrt(U12) - 0.5 * (12.0 + 1.0 / 12.0)
     assert margin < 0.0
-    _report("log_example_jacobian", abs(cond.mean_jacobian_at_1 + 5.0 / 3.0), 1e-9)
 
 
 def test_08_existence_and_minimizer_consistency():
-    built = construct_harmonic_homeo(2.0, 1.5)
-    mini = energy_minimizer(2.0, 1.5)
-    a_b, b_b = built.terms[1]
-    a_m, b_m = mini.terms[1]
+    a_b, b_b = construct_harmonic_homeo(2.0, 1.5).terms[1]
     assert abs(a_b - 2.0 / 3.0) <= 1e-14 and abs(b_b - 1.0 / 3.0) <= 1e-14
-    assert abs(a_b - a_m) <= 1e-14 and abs(b_b - b_m) <= 1e-14
-
-    crit = nitsche_map(NitscheParams(v=0.0, R=2.0))
-    e = energy_green(crit, 2.0)
+    e = energy_green(nitsche_map(NitscheParams(v=0.0, R=2.0)), 2.0)
     assert abs(e - 15.0 * math.pi / 8.0) <= 1e-12
-    assert abs(e - energy_quadrature(crit, 2.0)) <= 1e-9
+    _gate(checks.check_existence_minimizer, None)
 
     try:
         construct_harmonic_homeo(2.0, 1.2)
@@ -176,7 +101,6 @@ def test_08_existence_and_minimizer_consistency():
         assert abs(exc.deficit - 0.05) <= 1e-14
     else:
         raise AssertionError("sub-threshold target radius must be rejected")
-    _report("minimizer_consistency", abs(a_b - a_m), 1e-14)
 
 
 def test_09_holomorphic_case():
@@ -187,39 +111,13 @@ def test_09_holomorphic_case():
         assert abs(U - rho * rho) <= 1e-14
         assert abs(Ud - 2.0 * rho) <= 1e-14
         assert abs(Udd - 2.0) <= 1e-14
-
-    rng = np.random.default_rng(99)
-    rho = 1.5
-    eps = 1e-4
-    worst = 0.0
-    for _ in range(100):
-        raw = random_annulus_map(rng, n_max=6, R=2.0)
-        m = AnnulusMap(
-            R=2.0, terms={n: (a, 0.0) for n, (a, _) in raw.terms.items() if n >= 1}
-        )
-        val = operator_L_conformal(m, rho)
-        assert val >= 0.0
-
-        def g(r: float) -> float:
-            U, Ud, _ = means_closed_form(m, r)
-            return r**3 * (Ud * r * r - 2.0 * r * U) / r**4
-
-        fd = (g(rho + eps) - g(rho - eps)) / (2.0 * eps) / rho
-        worst = max(worst, abs(val - fd) / max(1.0, abs(val)))
-    assert worst <= 1e-6
-    _report("holomorphic_operator_fd", worst, 1e-6)
+    _gate(checks.check_holomorphic_operator, 99)
 
 
 def test_10_minimal_graph_lift_and_modulus_bound():
-    crit = nitsche_map(NitscheParams(v=0.0, R=2.0))
-    res = lift(crit)
-    dev = float(np.max(np.abs(res.w - np.log(res.rho_grid)[:, None])))
-    assert dev <= 1e-10
-    assert res.conformality_residual <= 1e-9
-
+    _gate(checks.check_catenoid_lift, None)
     worst = 0.0
     for R in np.linspace(1.1, 10.0, 25):
         _, slack = modulus_bound_check(math.log(R), 0.5 * (R + 1.0 / R))
         worst = max(worst, abs(slack))
     assert worst <= 1e-12
-    _report("lift_height_deviation", dev, 1e-10)

@@ -1,6 +1,5 @@
 """End-to-end command-line behaviour: outputs, determinism, and exit codes."""
 
-import io
 import math
 import warnings
 
@@ -8,8 +7,8 @@ import numpy as np
 import pytest
 
 from nitsche_lab import AnnulusMap, cli, means_closed_form, random_annulus_map, write_ahm
+from nitsche_lab import checks
 from nitsche_lab.cli import main
-from nitsche_lab.nitsche_family import NitscheParams, nitsche_map
 
 
 def write_map(path, m):
@@ -76,12 +75,18 @@ def test_construct_missing_args(capsys):
     assert main(["construct", "--R", "2.0"]) == 2
 
 
-def test_minsurf_reports_sharp_slack(capsys):
+def test_minsurf_reports_sharp_slack(tmp_path, capsys):
     assert main(["minsurf", "--nitsche-v", "0.0", "--R", "2.0"]) == 0
     out = capsys.readouterr().out
     slack_line = next(l for l in out.splitlines() if l.startswith("modulus"))
     assert "OK" in slack_line
     assert abs(float(slack_line.split()[5])) <= 1e-12
+    # h = 1/conj(z) maps the outer circle inward, U(R) = 1/4 < U(1) = 1, and its
+    # image annulus has the same radii ratio 2
+    p = tmp_path / "inverse.ahm"
+    p.write_text("AHM 1\nR 2\nLOG 0 0 0 0\nC 1 0 0 1 0\n", encoding="utf-8")
+    assert main(["minsurf", "--map", str(p), "--out", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().out.split()[-1] == "OK"
 
 
 def test_minsurf_rejects_odd_zero(tmp_path, capsys):
@@ -125,14 +130,31 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert main(["verify", "--seed", "7"]) == 0
     first = capsys.readouterr().out
     assert main(["verify", "--seed", "7"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
-    lines = first.strip().splitlines()
+    assert capsys.readouterr().out == first
+    lines = [line.split() for line in first.splitlines()]
     assert len(lines) >= 15
-    for line in lines:
-        name, value, threshold, status = line.split()
-        assert status == "PASS"
-        assert float(value) <= float(threshold)
+    # the lines are the registry's results, in its order, run through one generator
+    rng = np.random.default_rng(7)
+    results = [r for check in checks.REGISTRY for r in check(rng, False)]
+    assert [line[0] for line in lines] == [r.name for r in results]
+    for (_, value, threshold, status), r in zip(lines, results):
+        assert float(value) == r.value and float(threshold) == r.threshold
+        assert status == "PASS" and r.value <= r.threshold
+
+
+def test_verify_failure_exits_1(tmp_path, monkeypatch, capsys):
+    def failing(rng, full):
+        return [checks.CheckResult("forced_failure", 1.0, 0.0)]
+
+    monkeypatch.setattr(checks, "REGISTRY", (failing, *checks.REGISTRY[1:]))
+    assert main(["verify", "--seed", "7"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "forced_failure 1 0 FAIL"
+    assert all(line.endswith(" PASS") for line in lines[1:])
+    out_file = tmp_path / "verify.txt"
+    assert main(["verify", "--seed", "7", "--out", str(out_file)]) == 1
+    assert capsys.readouterr().out == "FAIL\n"
+    assert out_file.read_text().splitlines() == lines
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):
@@ -155,13 +177,16 @@ def test_domain_errors_exit_3(critical_path, tmp_path, capsys):
     # a table needs a finite R, even with no terms
     inf_path = tmp_path / "inf.ahm"
     inf_path.write_text("AHM 1\nR inf\nLOG 0 0 1 0\n", encoding="utf-8")
-    # identity needs sigma in (1, R]; qforms needs rho in (1, inf)
+    # identity needs sigma in (1, R]; qforms needs rho in (1, inf); construct
+    # refuses a non-finite radius instead of printing a deficit
     for argv in (["identity", "--nitsche-v", "0.3", "--R", "2", "--rho-grid", "0.5:20:3"],
                  ["identity", "--nitsche-v", "0.3", "--R", "2", "--rho-grid", "1:2:3"],
                  ["qforms", "--rho-grid", "0.5:2:3"],
                  ["qforms", "--rho-grid", "3:inf:3"],
                  ["qforms", "--rho-grid", "nan:5:3"],
-                 ["minsurf", "--map", str(inf_path), "--out", str(tmp_path / "s.csv")]):
+                 ["minsurf", "--map", str(inf_path), "--out", str(tmp_path / "s.csv")],
+                 ["construct", "--R", "2", "--Rstar", "nan"],
+                 ["construct", "--R", "inf", "--Rstar", "5"]):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("domain error:") and "," not in captured.out

@@ -7,6 +7,7 @@ import pytest
 
 from nitsche_lab import (
     AnnulusMap,
+    CoefficientRangeError,
     NitscheParams,
     NoHarmonicHomeomorphism,
     check_initial_conditions,
@@ -29,6 +30,10 @@ def test_bound_truth_table():
     assert not nitsche_bound_holds(2.0, 1.2)
     with pytest.raises(ValueError):
         nitsche_bound_holds(0.5, 1.5)
+    for R, R_star in ((2.0, math.nan), (math.inf, 5.0), (math.nan, 1.5), (2.0, math.inf)):
+        for fn in (nitsche_bound_holds, construct_harmonic_homeo, energy_minimizer):
+            with pytest.raises(CoefficientRangeError, match="finite"):
+                fn(R, R_star)
 
 
 def test_family_coefficients():
