@@ -94,21 +94,38 @@ def phi_zeros(m: AnnulusMap) -> list[tuple[complex, int]]:
 
 def _march_branch(phi_vals: np.ndarray, start) -> np.ndarray:
     """Continue sqrt(phi) along axis 0 from a branch value start (a scalar,
-    or one value per column); a zero value keeps the previous sign."""
+    or one value per column, with 0 read as 1), in one whole-array pass.
+
+    Each live (nonzero) row p_k of the principal sqrt is compared with its
+    reference, the last live row before it or start: it flips relative to
+    the reference's sign when Re(p_k conj(ref)) < 0, keeps it when > 0, and
+    restarts unflipped when the product is 0 or nan.  Negation is exact, so
+    comparing unflipped values decides the same, and the sign of each row
+    is the cumulative XOR of the flips since the last restart.  Dead rows
+    (0 or nan) are left as the principal sqrt and carry no sign.
+    """
     p = np.sqrt(phi_vals)
-    out = np.empty_like(p)
-    first = p.reshape(p.shape[0], -1)
-    res = out.reshape(out.shape[0], -1)
-    prev_row = np.broadcast_to(np.asarray(start, dtype=complex), first.shape[1:]).copy()
-    prev_row[prev_row == 0] = 1.0
-    for k in range(first.shape[0]):
-        row = first[k]
-        flip = (row * np.conj(prev_row)).real < 0.0
-        row = np.where(flip, -row, row)
-        res[k] = row
-        live = np.abs(row) > 0
-        prev_row[live] = row[live]
-    return out
+    flat = p.reshape(p.shape[0], -1)
+    first = np.broadcast_to(np.asarray(start, dtype=complex), flat.shape[1:]).copy()
+    first[first == 0] = 1.0
+    live = np.abs(flat) > 0
+    rows = np.arange(flat.shape[0])[:, None]
+    if live.all():
+        ref = np.concatenate([first[None], flat[:-1]])
+    else:
+        prev = np.concatenate([first[None], flat])  # prev[k] precedes row k
+        held = np.concatenate([np.ones_like(live[:1]), live[:-1]])  # prev[k] live
+        last = np.maximum.accumulate(np.where(held, rows, 0), axis=0)
+        ref = np.take_along_axis(prev, last, axis=0)
+    # Re(flat conj(ref)), formed in ref's buffer: one path-sized temporary
+    dot = np.multiply(flat, np.conjugate(ref, out=ref), out=ref).real
+    odd = np.logical_xor.accumulate(dot < 0.0, axis=0)
+    restart = live & ~(dot < 0.0) & ~(dot > 0.0)
+    if restart.any():
+        last = np.maximum.accumulate(np.where(restart, rows, -1), axis=0)
+        odd ^= np.take_along_axis(odd, np.maximum(last, 0), axis=0) & (last >= 0)
+    np.negative(flat, out=flat, where=odd & live)
+    return flat.reshape(p.shape)
 
 
 def _zero_free_branch(m: AnnulusMap, zeros, z: np.ndarray, start=None):
@@ -198,10 +215,13 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
     phi are divided out first, so the branch passes through them.  w comes
     from dw = 2 Re(w_z dz).  Raises NoLiftError on an odd-order zero of phi
     and BranchError if the branch or the lift fails to close around the
-    annulus (loop defect above 1e-8 relative), and ValueError for n_rho < 2.
+    annulus (loop defect above 1e-8 relative), and ValueError for n_rho < 2
+    or n_theta < 1.
     """
     if n_rho < 2:
         raise ValueError(f"lift needs n_rho >= 2 radii, got {n_rho}")
+    if n_theta < 1:
+        raise ValueError(f"lift needs n_theta >= 1 angles, got {n_theta}")
     rho_grid = np.linspace(1.0, m.R, n_rho)
     theta_grid = _quad.theta_grid(n_theta)
 

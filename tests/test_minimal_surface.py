@@ -13,16 +13,78 @@ from nitsche_lab import (
     catenoid_modulus,
     lift,
     modulus_bound_check,
+    minimal_surface,
     phi_zeros,
     second_dilatation,
 )
 from nitsche_lab.nitsche_family import NitscheParams, nitsche_map
 
 
+def _march_branch_loop(phi_vals, start):
+    # row-by-row oracle of minimal_surface._march_branch: flip each row
+    # against the last nonzero (already flipped) row, or against start
+    p = np.sqrt(phi_vals)
+    out = np.empty_like(p)
+    first = p.reshape(p.shape[0], -1)
+    res = out.reshape(out.shape[0], -1)
+    prev_row = np.broadcast_to(np.asarray(start, dtype=complex), first.shape[1:]).copy()
+    prev_row[prev_row == 0] = 1.0
+    for k in range(first.shape[0]):
+        row = first[k]
+        flip = (row * np.conj(prev_row)).real < 0.0
+        row = np.where(flip, -row, row)
+        res[k] = row
+        live = np.abs(row) > 0
+        prev_row[live] = row[live]
+    return out
+
+
+MARCH_CASES = ["2d", "1d", "single_row", "zero_entries", "zero_rows",
+               "zero_start", "scalar_start", "column_start", "restart"]
+
+
+@pytest.mark.parametrize("case", MARCH_CASES)
+def test_march_branch_matches_loop(case):
+    rng = np.random.default_rng(MARCH_CASES.index(case))
+    for _ in range(20):
+        n = 1 if case == "single_row" else int(rng.integers(2, 400))
+        cols = 1 if case == "1d" else int(rng.integers(1, 8))
+        # smooth paths that wind around 0 several times, so the principal
+        # sqrt jumps sign on the cut and the march has to flip it back
+        t = np.linspace(0.0, 1.0, n)[:, None]
+        amp = rng.normal(size=cols) + 1j * rng.normal(size=cols)
+        phi = amp * (0.5 + t) * np.exp(1j * rng.normal(0.0, 30.0, cols) * t)
+        start = rng.normal(size=cols) + 1j * rng.normal(size=cols)
+        if case == "1d":
+            phi, start = phi[:, 0], complex(start[0])
+        if case in ("zero_entries", "restart"):
+            phi[rng.random(phi.shape) < 0.1] = 0.0
+        if case == "zero_rows":
+            phi[rng.random(n) < 0.1] = 0.0
+        if case == "zero_start":
+            start = 0.0
+        if case == "scalar_start":
+            start = complex(start[0])
+        if case == "column_start":
+            start[rng.random(cols) < 0.3] = 0.0
+        if case == "restart":
+            # rows of 1 and -1 have sqrt 1 and i: Re(i conj(+-1)) = +-0,
+            # so the loop restarts unflipped there
+            phi[rng.random(phi.shape) < 0.1] = 1.0
+            phi[rng.random(phi.shape) < 0.1] = -1.0
+            start = -1.0
+        fast, ref = minimal_surface._march_branch(phi, start), _march_branch_loop(phi, start)
+        assert fast.shape == ref.shape
+        assert np.array_equal(fast, ref, equal_nan=True)
+        for part in ("real", "imag"):  # signed zeros too
+            assert np.array_equal(np.signbit(getattr(fast, part)),
+                                  np.signbit(getattr(ref, part)))
+
+
 def test_critical_family_lift_heights():
-    # the default grid, a coarse one, and the export script's n_theta = 96
+    # the default grid, a coarse one, the export script's n_theta = 96, one ray
     for (n_rho, n_theta), v in itertools.product(
-            [(33, 64), (9, 16), (33, 96)], (0.0, 1.0 / 3.0, 0.9)):
+            [(33, 64), (9, 16), (33, 96), (9, 1)], (0.0, 1.0 / 3.0, 0.9)):
         m = nitsche_map(NitscheParams(v=v, R=2.0))
         res = lift(m, n_rho, n_theta)
         assert res.w.shape == res.sqrt_phi.shape == res.mu.shape == (n_rho, n_theta)
@@ -102,6 +164,19 @@ def test_lift_follows_branch_through_double_zero_on_ray(r0, dtheta):
     assert min(np.max(np.abs(res.w - s * exact)) for s in (1, -1)) <= 1e-12
 
 
+def test_lift_matches_loop_march(critical, monkeypatch):
+    z0 = 1.7 * np.exp(2j * np.pi * 5 / 64)
+    c = -0.09 * (z0 / abs(z0)) ** 2
+    double_zero = AnnulusMap(R=2.0, terms={1: (1, 0), 2: (-1 / z0, 0),
+                                           3: (1 / (3 * z0**2), -np.conj(c) / 3)})
+    fast = [lift(m) for m in (critical, double_zero)]
+    monkeypatch.setattr(minimal_surface, "_march_branch", _march_branch_loop)
+    for m, res in zip((critical, double_zero), fast):
+        ref = lift(m)
+        for name in ("w", "sqrt_phi", "mu", "conformality_residual", "loop_residual"):
+            assert np.array_equal(getattr(res, name), getattr(ref, name), equal_nan=True)
+
+
 def test_lift_refusals():
     # phi winds once around the unit circle: sqrt(phi) changes sign
     with pytest.raises(BranchError, match="does not close around the unit circle"):
@@ -112,6 +187,8 @@ def test_lift_refusals():
                                       3: (1 / 6.75, 0)}))
     with pytest.raises(ValueError, match="n_rho"):
         lift(nitsche_map(NitscheParams(v=0.3, R=2.0)), n_rho=1)
+    with pytest.raises(ValueError, match="n_theta"):
+        lift(nitsche_map(NitscheParams(v=0.3, R=2.0)), n_theta=0)
 
 
 def test_catenoid_modulus_inverts_mean_radius():
