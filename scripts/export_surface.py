@@ -13,16 +13,10 @@ import csv
 import math
 import sys
 
-import numpy as np
-
-from nitsche_lab import (
-    catenoid_modulus,
-    lift,
-    modulus_bound_check,
-    trace,
-)
+from nitsche_lab import catenoid_modulus, lift, modulus_bound_check
+from nitsche_lab._quad import ring_grid
 from nitsche_lab.annulus_core import evaluate
-from nitsche_lab.nitsche_family import NitscheParams, nitsche_map
+from nitsche_lab.nitsche_family import NitscheParams, mean_radii_ratio, nitsche_map
 
 
 def main() -> int:
@@ -37,20 +31,16 @@ def main() -> int:
     for v in args.speeds:
         m = nitsche_map(NitscheParams(v=v, R=args.R))
         res = lift(m, n_rho=args.n_rho, n_theta=args.n_theta)
-        z = res.rho_grid[:, None] * np.exp(1j * res.theta_grid)[None, :]
-        h = evaluate(m, z).value
+        h = evaluate(m, ring_grid(res.rho_grid, res.theta_grid.size)).value
 
         path = f"{args.prefix}_v{v:g}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["x", "y", "z"])
-            for i in range(z.shape[0]):
-                for j in range(z.shape[1]):
-                    w.writerow([h[i, j].real, h[i, j].imag, res.w[i, j]])
+            w.writerows(zip(h.real.ravel().tolist(), h.imag.ravel().tolist(),
+                            res.w.ravel().tolist()))
 
-        U_R = sum(abs(c) ** 2 for c in trace(m, args.R).values())
-        U_1 = sum(abs(c) ** 2 for c in trace(m, 1.0).values())
-        ratio = math.sqrt(U_R / U_1)
+        ratio = mean_radii_ratio(m)
         holds, slack = modulus_bound_check(math.log(args.R), ratio)
         print(
             f"v={v:g}: width {res.width:.6f} (flat slab cap "

@@ -13,23 +13,17 @@ Writes one tidy CSV (family, parameter, rho, margin) for plotting.
 
 import argparse
 import csv
-import math
 import sys
 
 import numpy as np
 
-from nitsche_lab import means_closed_form
 from nitsche_lab.nitsche_family import (
     NitscheParams,
+    bound_margin,
     energy_minimizer,
     example_51_map,
     nitsche_map,
 )
-
-
-def margin(m, rho: float) -> float:
-    U, _, _ = means_closed_form(m, rho)
-    return math.sqrt(U) - 0.5 * (rho + 1.0 / rho)
 
 
 def main() -> int:
@@ -42,20 +36,17 @@ def main() -> int:
     rows = []
     rhos = np.linspace(1.0, 0.99 * args.R, args.steps)
 
+    def sweep(family, parameter, m, grid):
+        rows.extend((family, parameter, r, mg)
+                    for r, mg in zip(grid.tolist(), bound_margin(m, grid).tolist()))
+
     for v in (0.0, 0.25, 0.5, 0.9):
-        m = nitsche_map(NitscheParams(v=v, R=args.R))
-        for rho in rhos:
-            rows.append(("extremal", v, float(rho), margin(m, float(rho))))
-
+        sweep("extremal", v, nitsche_map(NitscheParams(v=v, R=args.R)), rhos)
     for R_star in (1.25, 1.5, 2.0):
-        m = energy_minimizer(2.0, R_star)
-        for rho in np.linspace(1.0, 1.99, args.steps):
-            rows.append(("minimizer", R_star, float(rho), margin(m, float(rho))))
-
+        sweep("minimizer", R_star, energy_minimizer(2.0, R_star),
+              np.linspace(1.0, 1.99, args.steps))
     for a in (0.3, 0.5, 0.7):
-        m = example_51_map(a, R=args.R)
-        for rho in rhos:
-            rows.append(("log_example", a, float(rho), margin(m, float(rho))))
+        sweep("log_example", a, example_51_map(a, R=args.R), rhos)
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

@@ -129,14 +129,17 @@ class PolarJet:
 
 
 def _check_radius(
-    m: AnnulusMap, rho: float, interval: str = "[1, R)", name: str = "rho"
+    m: AnnulusMap, rho, interval: str = "[1, R)", name: str = "rho"
 ) -> None:
-    """Raise AnnulusDomainError unless rho lies in interval, e.g. "(1, R]"."""
-    lo_ok = rho >= 1.0 if interval[0] == "[" else rho > 1.0
-    hi_ok = rho <= m.R if interval[-1] == "]" else rho < m.R
+    """Raise AnnulusDomainError unless rho lies in interval, e.g. "(1, R]"; an
+    array of radii is checked at its least and greatest points (NaN fails)."""
+    r_lo, r_hi = (rho.min(), rho.max()) if getattr(rho, "ndim", 0) else (rho, rho)
+    lo, hi = interval[0], interval[-1]
+    lo_ok = r_lo >= 1.0 if lo == "[" else r_lo > 1.0
+    hi_ok = r_hi <= m.R if hi == "]" else r_hi < m.R
     if not (lo_ok and hi_ok):
-        lo, hi = interval[0], interval[-1]
-        raise AnnulusDomainError(f"{name}={rho} outside {lo}1, {m.R}{hi}")
+        bad = r_hi if lo_ok else r_lo
+        raise AnnulusDomainError(f"{name}={bad} outside {lo}1, {m.R}{hi}")
 
 
 def evaluate(m: AnnulusMap, z) -> PolarJet:

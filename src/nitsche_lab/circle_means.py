@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .annulus_core import (
-    AnnulusDomainError, AnnulusMap, _check_radius, evaluate, is_conformal)
+from .annulus_core import AnnulusMap, _check_radius, evaluate, is_conformal
 
 __all__ = [
     "RadialProfile",
@@ -193,8 +192,7 @@ def radial_profile(m: AnnulusMap, rho_grid: np.ndarray) -> RadialProfile:
     rho_grid = np.asarray(rho_grid, dtype=float)
     if np.any(np.diff(rho_grid) <= 0):
         raise ValueError("rho grid must be strictly increasing")
-    if rho_grid[0] < 1.0 or rho_grid[-1] >= m.R:
-        raise AnnulusDomainError("rho grid must lie in [1, R)")
+    _check_radius(m, rho_grid)
     U, Ud, Udd = _mode_sums(m, rho_grid)
     return RadialProfile(
         rho_grid=rho_grid,

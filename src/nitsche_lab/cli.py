@@ -3,8 +3,8 @@
 Subcommands: means, verify, construct, minsurf, identity, qforms, chain,
 example51; each takes the parsed argparse namespace.  verify runs the check
 registry ``nitsche_lab.checks`` at its small sizes, the same functions the
-acceptance tests run at full size.  ``--quad M,K`` gives
-the ring-size floor M for means and the number K of maps for chain.  Every
+acceptance tests run at full size.  ``--quad M,K`` gives the ring-size
+floor M >= 0 for means and the number K >= 1 of maps for chain.  Every
 --rho-grid needs finite bounds; an identity one must lie in (1, R].  Exit
 codes: 0 success, 1 failed verification check, 2 argument or file parse error,
 3 domain error (a radius outside the annulus, a table over the overflow
@@ -27,15 +27,16 @@ import numpy as np
 from . import _quad, checks
 from .annulus_core import (
     AhmFormatError, AnnulusDomainError, AnnulusMap, CoefficientRangeError,
-    _check_radius, evaluate, read_ahm, write_ahm)
-from .circle_means import _mode_sums, operator_L, radial_profile
+    evaluate, read_ahm, write_ahm)
+from .circle_means import operator_L, radial_profile
 from .disk_maps import jacobian_energy_chain, poisson_extend, random_boundary_homeo
 from .identity_engine import verify_identity
 from .minimal_surface import (
     BranchError, NoLiftError, catenoid_modulus, lift, modulus_bound_check)
 from .nitsche_family import (
-    NitscheParams, NoHarmonicHomeomorphism, check_initial_conditions,
-    construct_harmonic_homeo, example_51_map, nitsche_map)
+    NitscheParams, NoHarmonicHomeomorphism, bound_margin, check_initial_conditions,
+    construct_harmonic_homeo, example_51_map, mean_radii_ratio, nitsche_floor,
+    nitsche_map)
 from .quadratic_forms import SQRT7, qform_coefficients
 
 __all__ = ["main"]
@@ -70,7 +71,10 @@ def _parse_quad(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected M,K")
-    return int(parts[0]), int(parts[1])
+    M, K = int(parts[0]), int(parts[1])
+    if M < 0 or K < 1:
+        raise argparse.ArgumentTypeError("need M >= 0 and K >= 1")
+    return M, K
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,7 +106,7 @@ def _load_map(cfg: argparse.Namespace) -> AnnulusMap:
         with open(cfg.map_path, "r", encoding="utf-8") as fh:
             return read_ahm(fh)
     if cfg.v is not None:
-        return nitsche_map(NitscheParams(v=cfg.v, R=cfg.R or 2.0))
+        return nitsche_map(NitscheParams(v=cfg.v, R=2.0 if cfg.R is None else cfg.R))
     raise AhmFormatError("no map given: use --map or --nitsche-v")
 
 
@@ -137,9 +141,9 @@ def cmd_means(cfg: argparse.Namespace) -> int:
     m = _load_map(cfg)
     prof = radial_profile(m, _rho_grid(cfg, (1.0, 0.995 * m.R, 50)))  # checks [1, R)
     L3 = [operator_L(m, rho, cfg.quad[0])[2] for rho in prof.rho_grid.tolist()]
-    floor = 0.5 * (prof.rho_grid + 1.0 / prof.rho_grid)
     cols = (prof.rho_grid, prof.U, prof.U_dot, prof.U_ddot, prof.mean_radius,
-            prof.L_of_U, np.array(L3), floor, prof.mean_radius - floor)
+            prof.L_of_U, np.array(L3), nitsche_floor(prof.rho_grid),
+            bound_margin(m, prof.rho_grid))
     _write_text(cfg, _csv(
         ["rho", "U", "U_dot", "U_ddot", "mean_radius",
          "L1", "L3", "nitsche_floor", "margin"], np.column_stack(cols).tolist()))
@@ -182,7 +186,7 @@ def cmd_construct(cfg: argparse.Namespace) -> int:
         return EXIT_DEFICIT
     a, b = m.terms[1]
     v = 2.0 * a.real - 1.0
-    margin = cfg.R_star - 0.5 * (cfg.R + 1.0 / cfg.R)
+    margin = cfg.R_star - nitsche_floor(cfg.R)
     print(f"v {_fmt(v)}")
     print(f"a1 {_fmt(a.real)}")
     print(f"b1 {_fmt(b.real)}")
@@ -209,10 +213,7 @@ def cmd_minsurf(cfg: argparse.Namespace) -> int:
     rho, theta = np.meshgrid(res.rho_grid, res.theta_grid, indexing="ij")
     residual = np.full_like(res.w, res.conformality_residual)
     cols = [x.ravel() for x in (rho, theta, h.real, h.imag, res.w, residual)]
-    U_R, _, _ = _mode_sums(m, m.R)
-    U_1, _, _ = _mode_sums(m, 1.0)
-    # the image annulus has one radii ratio whichever circle maps outward
-    ratio = math.sqrt(float(max(U_R, U_1)) / float(min(U_R, U_1)))
+    ratio = mean_radii_ratio(m)
     holds, slack = modulus_bound_check(math.log(m.R), ratio)
     print(f"modulus {_fmt(math.log(m.R))} catenoid_cap "
           f"{_fmt(catenoid_modulus(ratio))} slack {_fmt(slack)} "
@@ -224,9 +225,8 @@ def cmd_minsurf(cfg: argparse.Namespace) -> int:
 
 def cmd_chain(cfg: argparse.Namespace) -> int:
     rng = np.random.default_rng(cfg.seed)
-    count = max(cfg.quad[1], 1)
     rows = []
-    for k in range(count):
+    for k in range(cfg.quad[1]):
         bdry = random_boundary_homeo(rng)
         f = poisson_extend(bdry, N=96)
         res = jacobian_energy_chain(f)
@@ -243,20 +243,12 @@ def cmd_chain(cfg: argparse.Namespace) -> int:
 
 def cmd_example51(cfg: argparse.Namespace) -> int:
     a = cfg.a if cfg.a is not None else 0.5
-    m = example_51_map(a, cfg.lam, R=cfg.R or 1000.0)
+    m = example_51_map(a, cfg.lam, R=1000.0 if cfg.R is None else cfg.R)
     cond = check_initial_conditions(m)
     print(f"I {cond.I} II {cond.II} III {cond.III}")
     print(f"mean_jacobian {_fmt(cond.mean_jacobian_at_1)}")
     grid = _rho_grid(cfg, (1.0, min(20.0, m.R), 100))
-    for sigma in (grid[0], grid[-1]):
-        _check_radius(m, float(sigma), "[1, R]", "sigma")
-    rows = []
-    for sigma in grid:
-        U, _, _ = _mode_sums(m, float(sigma))
-        rows.append([
-            float(sigma),
-            math.sqrt(float(U)) - 0.5 * (float(sigma) + 1.0 / float(sigma)),
-        ])
+    rows = np.column_stack((grid, bound_margin(m, grid))).tolist()
     _write_text(cfg, _csv(["sigma", "margin"], rows))
     return EXIT_OK
 

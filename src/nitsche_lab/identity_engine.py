@@ -31,6 +31,7 @@ from . import _quad
 from .annulus_core import (
     AnnulusMap, _check_radius, _inner_trace, evaluate)
 from .circle_means import _mode_sums
+from .nitsche_family import bound_margin
 from .quadratic_forms import circle_functionals
 
 __all__ = [
@@ -185,13 +186,11 @@ class ThinAnnulusResult:
 
 def thin_annulus_bound(m: AnnulusMap, sigma: float) -> ThinAnnulusResult:
     _check_radius(m, sigma, "(1, R]", "sigma")
-    U_s, _, _ = _mode_sums(m, sigma)
     _, Ud_1, _ = _mode_sums(m, 1.0)
-    margin = math.sqrt(float(U_s)) - 0.5 * (sigma + 1.0 / sigma)
     winding, _, unimodular = _inner_trace(m)
     return ThinAnnulusResult(
         sigma=sigma,
-        margin=margin,
+        margin=bound_margin(m, sigma),
         sigma_above_e=sigma > math.e + 1e-15,
         trace_not_unimodular=not unimodular,
         winding_not_one=winding != 1,

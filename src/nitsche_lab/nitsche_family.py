@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .annulus_core import AnnulusMap, CoefficientRangeError, _inner_trace, evaluate
+import numpy as np
+
+from .annulus_core import (
+    AnnulusMap, CoefficientRangeError, _check_radius, _inner_trace, evaluate)
 from .circle_means import _mode_sums
 from .quadratic_forms import circle_functionals
 
@@ -21,7 +24,10 @@ __all__ = [
     "NoHarmonicHomeomorphism",
     "InitialConditions",
     "nitsche_map",
+    "nitsche_floor",
     "nitsche_bound_holds",
+    "bound_margin",
+    "mean_radii_ratio",
     "construct_harmonic_homeo",
     "energy_minimizer",
     "hammering_map",
@@ -38,7 +44,7 @@ class NoHarmonicHomeomorphism(ValueError):
     """
 
     def __init__(self, R: float, R_star: float) -> None:
-        self.deficit = 0.5 * (R + 1.0 / R) - R_star
+        self.deficit = nitsche_floor(R) - R_star
         super().__init__(
             f"no harmonic homeomorphism A(1,{R}) -> A(1,{R_star}): "
             f"deficit {self.deficit:.6g}"
@@ -66,13 +72,37 @@ def nitsche_map(params: NitscheParams) -> AnnulusMap:
     )
 
 
+def nitsche_floor(R):
+    """(R + 1/R)/2, the least outer radius R* of a harmonic image of A(1, R);
+    R is a scalar or an array."""
+    return 0.5 * (R + 1.0 / R)
+
+
 def nitsche_bound_holds(R: float, R_star: float) -> bool:
     """Sharp existence condition R* >= (R + 1/R)/2 on normalized annuli."""
     if not (math.isfinite(R) and math.isfinite(R_star)):
         raise CoefficientRangeError(f"radii must be finite, got R={R}, R*={R_star}")
     if R <= 1 or R_star <= 1:
         raise ValueError("both radii must exceed 1")
-    return R_star >= 0.5 * (R + 1.0 / R)
+    return R_star >= nitsche_floor(R)
+
+
+def bound_margin(m: AnnulusMap, rho):
+    """sqrt(U(rho)) - nitsche_floor(rho) for one rho (a float) or a grid in [1, R]:
+    the mean radius of the image of |z| = rho less the sharp bound's floor."""
+    rho = np.asarray(rho, dtype=float)
+    _check_radius(m, rho, "[1, R]")
+    U, _, _ = _mode_sums(m, rho)
+    margin = np.sqrt(U) - nitsche_floor(rho)
+    return float(margin) if margin.ndim == 0 else margin
+
+
+def mean_radii_ratio(m: AnnulusMap) -> float:
+    """sqrt(U(R)/U(1)) or its inverse, whichever is >= 1: the image annulus
+    has one radii ratio whichever circle maps outward."""
+    U_R, _, _ = _mode_sums(m, m.R)
+    U_1, _, _ = _mode_sums(m, 1.0)
+    return math.sqrt(float(max(U_R, U_1)) / float(min(U_R, U_1)))
 
 
 def construct_harmonic_homeo(R: float, R_star: float) -> AnnulusMap:

@@ -25,6 +25,7 @@ from nitsche_lab.annulus_core import (
     AhmFormatError,
     AnnulusDomainError,
     CoefficientRangeError,
+    _check_radius,
     _inner_trace,
 )
 
@@ -281,3 +282,18 @@ def test_inner_trace_degree_matches_fine_grid():
         assert min_mod >= np.min(np.abs(fine)) * (1.0 - 1e-12)  # a subset of the nodes
         seen.add(degree)
     assert {-1, 1} <= seen
+
+
+@pytest.mark.parametrize("interval", ["[1, R)", "[1, R]", "(1, R]", "(1, R)"])
+def test_check_radius_scalars_and_grids(interval):
+    m = AnnulusMap(R=2.0)
+    lo_in, hi_in = interval[0] == "[", interval[-1] == "]"
+    for rho, inside in ((1.0, lo_in), (2.0, hi_in), (1.5, True), (0.5, False),
+                        (2.5, False), (math.nan, False)):
+        for pts in (rho, np.array([1.2, rho, 1.7])):
+            if inside:
+                _check_radius(m, pts, interval)
+            else:
+                with pytest.raises(AnnulusDomainError, match=f"rho={rho} outside"):
+                    _check_radius(m, pts, interval)
+    _check_radius(m, np.linspace(1.1, 1.9, 9).reshape(3, 3), interval)  # interior grid

@@ -106,6 +106,8 @@ def test_radial_profile_rejects_bad_grids(critical):
         radial_profile(critical, np.array([1.5, 1.2]))
     with pytest.raises(AnnulusDomainError):
         radial_profile(critical, np.array([1.0, 2.5]))
+    with pytest.raises(AnnulusDomainError):  # NaN is no radius, even at the end
+        radial_profile(critical, np.array([1.0, 1.5, math.nan]))
 
 
 def test_domain_guards(critical):

@@ -164,6 +164,15 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     garbled = tmp_path / "garbled.ahm"
     garbled.write_text("not a coefficient file\n")
     assert main(["means", "--map", str(garbled)]) == 2
+    # --R 0 is an outer radius below 1, not a request for the default; a chain
+    # needs K >= 1 maps and means a ring-size floor M >= 0
+    for argv in (["means", "--nitsche-v", "0.3", "--R", "0", "--rho-grid", "1:1.5:2"],
+                 ["minsurf", "--nitsche-v", "0.3", "--R", "0"],
+                 ["example51", "--a", "0.5", "--R", "0"],
+                 ["chain", "--quad", "8,0"],
+                 ["chain", "--quad=8,-5"],
+                 ["means", "--nitsche-v", "0.3", "--quad=-1,4"]):
+        assert main(argv) == 2, argv
 
 
 def test_domain_errors_exit_3(critical_path, tmp_path, capsys):

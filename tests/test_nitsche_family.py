@@ -20,8 +20,9 @@ from nitsche_lab import (
     nitsche_map,
     thin_annulus_bound,
 )
-from nitsche_lab.annulus_core import evaluate
-from nitsche_lab.circle_means import means_closed_form
+from nitsche_lab.annulus_core import AnnulusDomainError, evaluate, random_annulus_map
+from nitsche_lab.circle_means import _mode_sums, means_closed_form
+from nitsche_lab.nitsche_family import bound_margin, mean_radii_ratio, nitsche_floor
 
 
 def test_bound_truth_table():
@@ -147,3 +148,49 @@ def test_trace_too_close_to_zero_is_undecided(b0):
     cond = check_initial_conditions(m)
     assert cond.winding == 0 and cond.I is False
     assert thin_annulus_bound(m, 1.5).winding_not_one
+
+
+def scalar_margin(m, rho: float) -> float:
+    """The per-radius route: sqrt(U(rho)) - (rho + 1/rho)/2, one radius at a time."""
+    U, _, _ = _mode_sums(m, rho)
+    return math.sqrt(float(U)) - 0.5 * (rho + 1.0 / rho)
+
+
+def test_bound_margin_matches_the_scalar_route(rng):
+    for _ in range(20):
+        m = random_annulus_map(rng, n_max=int(rng.integers(1, 9)),
+                               R=float(rng.uniform(1.5, 20.0)), log_scale=0.5)
+        grid = np.concatenate(([1.0], np.sort(rng.uniform(1.0, m.R, 30)), [m.R]))
+        margins = bound_margin(m, grid)
+        assert margins.shape == grid.shape
+        for rho, got in zip(grid.tolist(), margins.tolist()):
+            want = scalar_margin(m, rho)
+            assert abs(got - want) <= 1e-15 * max(1.0, abs(want))
+            single = bound_margin(m, rho)
+            assert type(single) is float and single == want  # the scalar path is unchanged
+
+
+def test_bound_margin_on_the_critical_map_and_the_log_example(critical):
+    grid = np.linspace(1.0, critical.R, 200)
+    assert np.max(np.abs(bound_margin(critical, grid))) <= 1e-12
+    assert nitsche_floor(2.0) == 1.25
+    assert np.array_equal(nitsche_floor(grid), 0.5 * (grid + 1.0 / grid))
+    # the log example's margin is -1.1e-16 at rho = 1 (rounding) and turns
+    # negative for good near rho = 10.19
+    m = example_51_map(0.5, 2.0)
+    grid = np.linspace(1.0, 20.0, 19001)
+    below = np.flatnonzero(bound_margin(m, grid) < -1e-12)
+    assert 10.18 < grid[below[0]] < 10.20
+    assert abs(bound_margin(m, 1.0)) <= 1e-15
+    for rho in (0.999, 1000.5, math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(AnnulusDomainError):
+            bound_margin(m, rho)
+
+
+def test_mean_radii_ratio_is_oriented():
+    # h_v maps the unit circle onto itself and |z| = 2 onto radius 1.625;
+    # h = 1/conj(z) maps |z| = 2 inward, onto radius 1/2: the ratio is still >= 1
+    assert mean_radii_ratio(nitsche_map(NitscheParams(v=0.5, R=2.0))) == pytest.approx(
+        1.625, rel=1e-15)
+    assert mean_radii_ratio(AnnulusMap(R=2.0, terms={1: (0.0, 1.0)})) == pytest.approx(
+        2.0, rel=1e-15)
