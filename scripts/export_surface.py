@@ -13,9 +13,7 @@ import csv
 import math
 import sys
 
-from nitsche_lab import catenoid_modulus, lift, modulus_bound_check
-from nitsche_lab._quad import ring_grid
-from nitsche_lab.annulus_core import evaluate
+from nitsche_lab import catenoid_modulus, evaluate_rings, lift, modulus_bound_check
 from nitsche_lab.nitsche_family import NitscheParams, mean_radii_ratio, nitsche_map
 
 
@@ -31,7 +29,7 @@ def main() -> int:
     for v in args.speeds:
         m = nitsche_map(NitscheParams(v=v, R=args.R))
         res = lift(m, n_rho=args.n_rho, n_theta=args.n_theta)
-        h = evaluate(m, ring_grid(res.rho_grid, res.theta_grid.size)).value
+        h = evaluate_rings(m, res.rho_grid, res.theta_grid).value
 
         path = f"{args.prefix}_v{v:g}.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:

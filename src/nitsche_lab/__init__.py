@@ -14,6 +14,7 @@ from .annulus_core import (
     PolarJet,
     conformal_modulus,
     evaluate,
+    evaluate_rings,
     is_conformal,
     random_annulus_map,
     read_ahm,

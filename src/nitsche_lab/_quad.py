@@ -49,16 +49,22 @@ def exact_ring_size(order: int) -> int:
     return 4 * order + 8
 
 
+def first_ring_size(order: int) -> int:
+    """The power of two >= 4N + 8, or 4N + 8 itself when that exceeds 4096."""
+    return min(1 << (exact_ring_size(order) - 1).bit_length(),
+               max(4096, exact_ring_size(order)))
+
+
 def nonvanishing_samples(
     sample: Callable[[int], np.ndarray], lip: float, order: int
 ) -> tuple[np.ndarray, bool]:
     """(values, proven): values = sample(M) is f of degree N = order on
     theta_grid(M), |f'| <= lip.  f moves by at most 2 pi lip / M from a node
     to the next, so min |f| > 2 pi lip / M proves f has no zero and every
-    principal argument increment between samples exact.  M doubles from the
-    power of two >= 4N + 8 until then, or stops unproven at max(4096, 4N + 8)."""
+    principal argument increment between samples exact.  M doubles from
+    first_ring_size(order) until then, or stops unproven at max(4096, 4N + 8)."""
     cap = max(4096, exact_ring_size(order))
-    M = min(1 << (exact_ring_size(order) - 1).bit_length(), cap)
+    M = first_ring_size(order)
     while True:
         values = sample(M)
         proven = bool(np.min(np.abs(values)) > 2.0 * np.pi * lip / M)
@@ -75,17 +81,22 @@ def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre_panels(
-    lo: float, hi: float, panels: int, order: int = 16
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [lo, hi] split into equal panels."""
+def panel_rule(edges: np.ndarray, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on each panel [edges[k], edges[k+1]],
+    panel after panel."""
     x, w = _legendre(order)
-    edges = np.linspace(lo, hi, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
+
+
+def gauss_legendre_panels(
+    lo: float, hi: float, panels: int, order: int = 16
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes/weights on [lo, hi] split into equal panels."""
+    return panel_rule(np.linspace(lo, hi, panels + 1), order)
 
 
 def radial_integral(

@@ -27,6 +27,7 @@ __all__ = [
     "CoefficientRangeError",
     "AhmFormatError",
     "evaluate",
+    "evaluate_rings",
     "solve_dirichlet",
     "trace",
     "conformal_modulus",
@@ -142,13 +143,32 @@ def _check_radius(
         raise AnnulusDomainError(f"{name}={bad} outside {lo}1, {m.R}{hi}")
 
 
+def _polar_jet(value, d_rho, d_theta, rho, eit, scalar: bool) -> PolarJet:
+    """The jet at points rho e^{i theta} from h, h_rho and h_theta there,
+    eit = e^{i theta}: Wirtinger derivatives, Jacobian and |grad h|^2."""
+    d_z = 0.5 * (d_rho - 1j * d_theta / rho) / eit
+    d_zbar = 0.5 * (d_rho + 1j * d_theta / rho) * eit
+    jac = np.abs(d_z) ** 2 - np.abs(d_zbar) ** 2
+    grad = 2.0 * (np.abs(d_z) ** 2 + np.abs(d_zbar) ** 2)
+    if scalar:
+        return PolarJet(
+            complex(value),
+            complex(d_rho),
+            complex(d_theta),
+            complex(d_z),
+            complex(d_zbar),
+            float(jac),
+            float(grad),
+        )
+    return PolarJet(value, d_rho, d_theta, d_z, d_zbar, jac, grad)
+
+
 def evaluate(m: AnnulusMap, z) -> PolarJet:
     """Evaluate h and its polar/Wirtinger derivatives at z (scalar or array).
 
     Closed-form termwise differentiation; exact up to rounding.
     """
     z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
     rho = np.abs(z_arr)
     slack = 1e-12 * max(1.0, m.R)
     if np.any(rho < 1.0 - slack) or np.any(rho > m.R + slack):
@@ -172,24 +192,31 @@ def evaluate(m: AnnulusMap, z) -> PolarJet:
         value = value + np.sum(radial * ph, axis=0)
         d_rho = d_rho + np.sum(nsb * (ab * rp - bb * rm) / rho * ph, axis=0)
         d_theta = d_theta + np.sum(1j * nsb * radial * ph, axis=0)
+    return _polar_jet(value, d_rho, d_theta, rho, np.exp(1j * theta), z_arr.ndim == 0)
 
-    eit = np.exp(1j * theta)
-    d_z = 0.5 * (d_rho - 1j * d_theta / rho) / eit
-    d_zbar = 0.5 * (d_rho + 1j * d_theta / rho) * eit
-    jac = np.abs(d_z) ** 2 - np.abs(d_zbar) ** 2
-    grad = 2.0 * (np.abs(d_z) ** 2 + np.abs(d_zbar) ** 2)
 
-    if scalar:
-        return PolarJet(
-            complex(value),
-            complex(d_rho),
-            complex(d_theta),
-            complex(d_z),
-            complex(d_zbar),
-            float(jac),
-            float(grad),
-        )
-    return PolarJet(value, d_rho, d_theta, d_z, d_zbar, jac, grad)
+def evaluate_rings(m: AnnulusMap, rho, theta) -> PolarJet:
+    """evaluate on the polar grid rho_i e^{i theta_j}, shaped
+    rho.shape + theta.shape; rho (scalar or array) must lie in [1, R].
+
+    Each mode is a_n rho^n + b_n rho^-n per radius times e^{i n theta} per
+    angle, so each field is one (radii x modes) @ (modes x angles) product
+    instead of a sum over a (modes x radii x angles) table.
+    """
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    _check_radius(m, rho, "[1, R]")
+    ns, a, b = m.mode_arrays()
+    rp = rho[..., None] ** ns
+    rm = rho[..., None] ** (-ns)
+    radial = a * rp + b * rm
+    ph = np.exp(1j * np.multiply.outer(ns, theta))
+    r = rho.reshape(rho.shape + (1,) * theta.ndim)  # broadcasts over the angles
+    value = np.tensordot(radial, ph, 1) + (m.log_a0 * np.log(r) + m.log_b0)
+    d_rho = (np.tensordot(ns * (a * rp - b * rm), ph, 1) + m.log_a0) / r
+    d_theta = np.tensordot(1j * ns * radial, ph, 1)
+    return _polar_jet(value, d_rho, d_theta, r, np.exp(1j * theta),
+                      rho.ndim == 0 and theta.ndim == 0)
 
 
 def trace(m: AnnulusMap, rho: float) -> dict[int, complex]:
@@ -205,15 +232,26 @@ def _inner_trace(m: AnnulusMap) -> tuple[int, float, bool]:
     """(degree, min |h|, unimodular) of theta -> h(e^{i theta}) on the samples
     of _quad.nonvanishing_samples, |h'| <= sum |n||c_n|.  The degree sums the
     argument increments if h is proven nonvanishing and is 0 if undecided;
-    unimodular is max ||h| - 1| <= 1e-9 over the (at least 4N + 8) samples."""
+    unimodular is _is_unimodular over the (at least 4N + 8) samples."""
     lip = sum(abs(n) * abs(c) for n, c in trace(m, 1.0).items())
     values, proven = _quad.nonvanishing_samples(
         lambda M: evaluate(m, _quad.ring_grid(1.0, M)).value, lip, m.order)
     args = np.angle(np.append(values, values[0]))
     turns = float(np.sum(np.mod(np.diff(args) + np.pi, 2.0 * np.pi) - np.pi)) / (2 * math.pi)
     degree = int(round(turns)) if proven else 0
-    modulus = np.abs(values)
-    return degree, float(modulus.min()), bool(np.max(np.abs(modulus - 1.0)) <= 1e-9)
+    return degree, float(np.abs(values).min()), _is_unimodular(values)
+
+
+def _is_unimodular(values: np.ndarray) -> bool:
+    """max ||h| - 1| <= 1e-9 over samples of a trace."""
+    return bool(np.max(np.abs(np.abs(values) - 1.0)) <= 1e-9)
+
+
+def _trace_is_unimodular(m: AnnulusMap) -> bool:
+    """_is_unimodular on the first ring of _inner_trace's sampler, from one
+    evaluate: the flag without the doubling search for a proof."""
+    M = _quad.first_ring_size(m.order)
+    return _is_unimodular(evaluate(m, _quad.ring_grid(1.0, M)).value)
 
 
 def solve_dirichlet(

@@ -24,10 +24,10 @@ import tempfile
 
 import numpy as np
 
-from . import _quad, checks
+from . import checks
 from .annulus_core import (
     AhmFormatError, AnnulusDomainError, AnnulusMap, CoefficientRangeError,
-    evaluate, read_ahm, write_ahm)
+    evaluate_rings, read_ahm, write_ahm)
 from .circle_means import operator_L, radial_profile
 from .disk_maps import jacobian_energy_chain, poisson_extend, random_boundary_homeo
 from .identity_engine import verify_identity
@@ -131,10 +131,13 @@ def _write_text(cfg: argparse.Namespace, text: str) -> None:
         raise
 
 
-def _csv(header: list[str], rows: list[list[float]]) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], table) -> str:
+    """CSV text of a (rows, len(header)) table of floats, each cell as _fmt
+    writes it, formatted by one % operation."""
+    cells = np.asarray(table, dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    body = (line * cells.shape[0]) % tuple(cells.ravel().tolist())
+    return ",".join(header) + "\n" + body
 
 
 def cmd_means(cfg: argparse.Namespace) -> int:
@@ -146,7 +149,7 @@ def cmd_means(cfg: argparse.Namespace) -> int:
             bound_margin(m, prof.rho_grid))
     _write_text(cfg, _csv(
         ["rho", "U", "U_dot", "U_ddot", "mean_radius",
-         "L1", "L3", "nitsche_floor", "margin"], np.column_stack(cols).tolist()))
+         "L1", "L3", "nitsche_floor", "margin"], np.column_stack(cols)))
     return EXIT_OK
 
 
@@ -209,7 +212,7 @@ def cmd_minsurf(cfg: argparse.Namespace) -> int:
     except (NoLiftError, BranchError) as exc:
         print(f"lift rejected: {exc}", file=sys.stderr)
         return EXIT_NO_LIFT
-    h = evaluate(m, _quad.ring_grid(res.rho_grid, res.theta_grid.size)).value
+    h = evaluate_rings(m, res.rho_grid, res.theta_grid).value
     rho, theta = np.meshgrid(res.rho_grid, res.theta_grid, indexing="ij")
     residual = np.full_like(res.w, res.conformality_residual)
     cols = [x.ravel() for x in (rho, theta, h.real, h.imag, res.w, residual)]
@@ -219,7 +222,7 @@ def cmd_minsurf(cfg: argparse.Namespace) -> int:
           f"{_fmt(catenoid_modulus(ratio))} slack {_fmt(slack)} "
           f"{'OK' if holds else 'VIOLATED'}")
     _write_text(cfg, _csv(["rho", "theta", "u", "v", "w", "residual"],
-                           np.column_stack(cols).tolist()))
+                           np.column_stack(cols)))
     return EXIT_OK
 
 
@@ -243,13 +246,13 @@ def cmd_chain(cfg: argparse.Namespace) -> int:
 
 def cmd_example51(cfg: argparse.Namespace) -> int:
     a = cfg.a if cfg.a is not None else 0.5
-    m = example_51_map(a, cfg.lam, R=1000.0 if cfg.R is None else cfg.R)
+    m = example_51_map(a, cfg.lam, R=20.0 if cfg.R is None else cfg.R)
     cond = check_initial_conditions(m)
     print(f"I {cond.I} II {cond.II} III {cond.III}")
     print(f"mean_jacobian {_fmt(cond.mean_jacobian_at_1)}")
     grid = _rho_grid(cfg, (1.0, min(20.0, m.R), 100))
-    rows = np.column_stack((grid, bound_margin(m, grid))).tolist()
-    _write_text(cfg, _csv(["sigma", "margin"], rows))
+    _write_text(cfg, _csv(["sigma", "margin"],
+                           np.column_stack((grid, bound_margin(m, grid)))))
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .annulus_core import AnnulusMap, evaluate
+from .annulus_core import AnnulusMap, evaluate, evaluate_rings
 
 __all__ = [
     "MinimalLift",
@@ -31,6 +31,16 @@ __all__ = [
     "modulus_bound_check",
     "second_dilatation",
 ]
+
+
+# Gauss-Legendre panels of 16 nodes per unit of N log(rho) on a ray, at least
+# RAY_PANEL_DENSITY per coarse interval.  In t = log(rho) the terms rho^n,
+# |n| <= N, are e^{nt}, so the rule's error on a panel is set by N times its
+# log-width, whatever R is.
+RAY_PANEL_DENSITY = 1.0
+# Largest turn of the continued sqrt(phi) between two path nodes that the
+# march may decide; a wider turn means the path is too coarse.
+MAX_TURN = math.pi / 4
 
 
 class NoLiftError(ValueError):
@@ -128,43 +138,74 @@ def _march_branch(phi_vals: np.ndarray, start) -> np.ndarray:
     return flat.reshape(p.shape)
 
 
-def _zero_free_branch(m: AnnulusMap, zeros, z: np.ndarray, start=None):
-    """(jet, phi, g, q g) along a path z (axis 0), from one evaluate.
+def _max_turn(g: np.ndarray) -> float:
+    """Largest angle (radians) between consecutive nonzero values of g along
+    axis 0, per column; 0 if no column has two."""
+    held = g.reshape(g.shape[0], -1)
+    live = held != 0
+    if not live.all():  # carry the last nonzero value over each zero
+        rows = np.arange(held.shape[0])[:, None]
+        last = np.maximum.accumulate(np.where(live, rows, 0), axis=0)
+        held = np.take_along_axis(held, last, axis=0)
+    prod = held[1:] * np.conj(held[:-1])
+    mag = np.abs(prod)
+    cos = np.where(mag > 0, prod.real / np.where(mag > 0, mag, 1.0), 1.0)
+    return float(np.arccos(np.clip(cos.min(initial=1.0), -1.0, 1.0)))
+
+
+def _zero_free_branch(m: AnnulusMap, zeros, rho, theta, start=None):
+    """(jet, phi, g, q g, turn) on the polar grid rho e^{i theta}, marched along
+    axis 0 from one evaluate_rings.
 
     g continues sqrt(phi / q^2) with q = prod (z - z0)^(k/2) over the known
     zeros of phi, so the march follows the zero-free quotient through them,
-    and q g continues sqrt(phi) (0 where q = 0).  start is g at z[0], or None
-    for the g that makes q g the principal sqrt(phi) at z[0].
+    and q g continues sqrt(phi) (0 where q = 0).  start is g at the first
+    row, or None for the g that makes q g the principal sqrt(phi) there.
+    turn is _max_turn(g); BranchError if it exceeds MAX_TURN, where the
+    path is too coarse for the march to decide a step.
     """
-    jet = evaluate(m, z)
+    jet = evaluate_rings(m, rho, theta)
     phi = jet.d_z * np.conj(jet.d_zbar)
-    q = np.ones_like(z)
-    for z0, k in zeros:
-        q = q * (z - z0) ** (k // 2)
+    q = np.ones_like(phi)
+    if zeros:
+        z = np.multiply.outer(rho, np.exp(1j * np.asarray(theta)))
+        for z0, k in zeros:
+            q = q * (z - z0) ** (k // 2)
     q2 = q * q
     zero = q2 == 0
     quotient = np.where(zero, 0.0, phi / np.where(zero, 1.0, q2))
     if start is None:
         start = _principal_start(complex(phi[0])) / q[0] if q[0] else 0.0
     g = _march_branch(quotient, start)
-    return jet, phi, g, q * g
+    turn = _max_turn(g)
+    if turn > MAX_TURN:
+        raise BranchError(
+            f"sqrt(phi) turns by {math.degrees(turn):.1f} degrees between path "
+            f"nodes (limit {math.degrees(MAX_TURN):g}): path too coarse")
+    return jet, phi, g, q * g, turn
 
 
-def _node_path(coarse: np.ndarray, end: float, panels: int):
-    """(path, weights): each coarse point followed by the Gauss-Legendre nodes
-    of its interval (equal panels each), then end; path[::K + 1] is the
-    coarse grid and end, weights has shape (intervals, K)."""
-    n = coarse.size
-    nodes, weights = _quad.gauss_legendre_panels(coarse[0], end, n * panels)
-    path = np.column_stack([coarse, nodes.reshape(n, -1)]).ravel()
-    return np.append(path, end), weights.reshape(n, -1)
+def _node_path(edges: np.ndarray, panels):
+    """(path, weights, coarse): each edges[i] followed by the Gauss-Legendre
+    nodes of [edges[i], edges[i+1]] in panels[i] equal panels (an int array,
+    or one int for all), ending at edges[-1]; weights are 0 at the edges, and
+    path[coarse] is edges."""
+    n = edges.size - 1
+    per = np.broadcast_to(np.asarray(panels, dtype=np.int64), (n,))
+    interval = np.repeat(np.arange(n), per)
+    k = np.arange(interval.size) - np.repeat(np.cumsum(per) - per, per)
+    lo = edges[interval] + np.diff(edges)[interval] * (k / per[interval])
+    nodes, weights = _quad.panel_rule(np.append(lo, edges[-1]))
+    starts = (np.cumsum(per) - per) * (nodes.size // interval.size)
+    path = np.append(np.insert(nodes, starts, edges[:-1]), edges[-1])
+    weights = np.append(np.insert(weights, starts, 0.0), 0.0)
+    return path, weights, np.append(starts + np.arange(n), path.size - 1)
 
 
-def _running_integral(first, f: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _running_integral(first, f: np.ndarray, weights: np.ndarray, coarse) -> np.ndarray:
     """first + integral of f (sampled on a _node_path) up to each coarse point."""
-    n, K = weights.shape
-    inner = f[:-1].reshape((n, K + 1) + f.shape[1:])[:, 1:]
-    steps = np.einsum("ik,ik...->i...", weights, inner)
+    wf = weights.reshape((-1,) + (1,) * (f.ndim - 1)) * f
+    steps = np.add.reduceat(wf, coarse[:-1], axis=0)
     return np.cumsum(np.concatenate([np.asarray(first)[None], steps]), axis=0)
 
 
@@ -197,6 +238,7 @@ class MinimalLift:
     mu: np.ndarray  # second dilatation, nan where h_z = 0
     conformality_residual: float
     loop_residual: float  # closure defect of w around the unit circle
+    max_turn: float  # largest turn of the branch between path nodes, radians
     flat: bool
 
     @property
@@ -211,12 +253,16 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
     The branch of sqrt(phi) is continued along the nodes w is integrated on:
     around the unit circle from the principal value at z = 1, each coarse
     angle followed by the Gauss-Legendre nodes of its interval, then up each
-    radial ray from its angle on the circle.  The known even-order zeros of
-    phi are divided out first, so the branch passes through them.  w comes
-    from dw = 2 Re(w_z dz).  Raises NoLiftError on an odd-order zero of phi
-    and BranchError if the branch or the lift fails to close around the
-    annulus (loop defect above 1e-8 relative), and ValueError for n_rho < 2
-    or n_theta < 1.
+    radial ray from its angle on the circle, each coarse radius followed by
+    Gauss-Legendre nodes in log(rho) (RAY_PANEL_DENSITY panels per unit of
+    N log(rho), so the ray costs no more at large R).  Both paths are
+    evaluated by evaluate_rings.  The known even-order zeros of phi are
+    divided out first, so the branch passes through them.  w comes from
+    dw = 2 Re(w_z dz).  Raises NoLiftError on an odd-order zero of phi and
+    BranchError if the branch turns by more than MAX_TURN between two path
+    nodes, or if the branch or the lift fails to close around the annulus
+    (loop defect above 1e-8 relative), and ValueError for n_rho < 2 or
+    n_theta < 1.
     """
     if n_rho < 2:
         raise ValueError(f"lift needs n_rho >= 2 radii, got {n_rho}")
@@ -233,7 +279,7 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
     P, Q, _ = _laurent_factors(m)
     if not (np.any(np.abs(P) > 0) and np.any(np.abs(Q) > 0)):
         shape = (n_rho, n_theta)
-        jet = evaluate(m, _quad.ring_grid(rho_grid, n_theta))
+        jet = evaluate_rings(m, rho_grid, theta_grid)
         return MinimalLift(
             base=m,
             rho_grid=rho_grid,
@@ -243,34 +289,39 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
             mu=_dilatation(jet.d_z, jet.d_zbar),
             conformality_residual=0.0,
             loop_residual=0.0,
+            max_turn=0.0,
             flat=True,
         )
 
     # around the unit circle, calibrated at z = 1
-    th, wts_T = _node_path(theta_grid, 2.0 * np.pi, max(2, 256 // n_theta))
-    _, _, g_T, s_T = _zero_free_branch(m, zeros, np.exp(1j * th))
+    th, wts_T, coarse_T = _node_path(
+        np.append(theta_grid, 2.0 * np.pi), max(2, 256 // n_theta))
+    _, _, g_T, s_T, turn_T = _zero_free_branch(m, zeros, 1.0, th)
     if abs(g_T[-1] - g_T[0]) > 0.5 * abs(g_T[0]) + 1e-30:
         raise BranchError("sqrt(phi) branch does not close around the unit circle")
-    w_T = _running_integral(0.0, 2.0 * (s_T * np.exp(1j * th)).real, wts_T)
+    w_T = _running_integral(0.0, 2.0 * (s_T * np.exp(1j * th)).real, wts_T, coarse_T)
     loop_residual = abs(w_T[-1])
     if loop_residual > 1e-8 * max(1.0, np.max(np.abs(w_T[:-1]))):
         raise BranchError(
             f"lift is multivalued around the annulus: loop defect {w_T[-1]:.3e}"
         )
 
-    # up each ray, from the branch on the circle at its coarse angle
-    panels = max(2, math.ceil(16.0 * (m.R - 1.0) / (n_rho - 1)))
-    r, wts_r = _node_path(rho_grid[:-1], m.R, panels)
-    jet, phi, _, s = _zero_free_branch(
-        m, zeros, _quad.ring_grid(r, n_theta), g_T[:-1:wts_T.shape[1] + 1])
+    # up each ray in t = log rho, from the branch on the circle at its angle
+    t_grid = np.log(rho_grid)
+    n_log = max(m.order, 1) * np.diff(t_grid)
+    panels = np.ceil(RAY_PANEL_DENSITY * np.maximum(n_log, 1.0)).astype(np.int64)
+    t, wts_t, coarse_r = _node_path(t_grid, panels)
+    r = np.exp(t)
+    r[coarse_r] = rho_grid
+    jet, phi, _, s, turn_r = _zero_free_branch(
+        m, zeros, r, theta_grid, g_T[coarse_T[:-1]])
     dw = 2.0 * (-1j * s * np.exp(1j * theta_grid)).real
-    w = _running_integral(w_T[:-1], dw, wts_r)
+    w = _running_integral(w_T[:-1], dw, wts_t * r, coarse_r)
 
     # diagnostics on the coarse rows of the ray path
-    coarse = slice(None, None, wts_r.shape[1] + 1)
-    d_z, d_zbar, s_grid = jet.d_z[coarse], jet.d_zbar[coarse], s[coarse]
+    d_z, d_zbar, s_grid = jet.d_z[coarse_r], jet.d_zbar[coarse_r], s[coarse_r]
     scale = float(np.max(np.abs(d_z) ** 2 + np.abs(d_zbar) ** 2))
-    residual = float(np.max(np.abs((-1j * s_grid) ** 2 + phi[coarse])))
+    residual = float(np.max(np.abs((-1j * s_grid) ** 2 + phi[coarse_r])))
     return MinimalLift(
         base=m,
         rho_grid=rho_grid,
@@ -280,6 +331,7 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
         mu=_dilatation(d_z, d_zbar),
         conformality_residual=residual / max(scale, 1e-300),
         loop_residual=loop_residual,
+        max_turn=max(turn_T, turn_r),
         flat=False,
     )
 

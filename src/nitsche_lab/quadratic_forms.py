@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annulus_core import (
-    AnnulusDomainError, AnnulusMap, _check_radius, _inner_trace)
+    AnnulusDomainError, AnnulusMap, _check_radius, _trace_is_unimodular)
 from .circle_means import _mode_sums
 
 __all__ = [
@@ -203,7 +203,7 @@ class CertificateResult:
     guarantee does not apply and ``below_sqrt7`` is set.  When the inner
     trace is not unimodular the half-derivative term implements
     (1/2) d/drho of the mean of |h|^2 rather than the literal product mean,
-    flagged by ``trace_not_unimodular`` (from annulus_core._inner_trace).
+    flagged by ``trace_not_unimodular`` (annulus_core._trace_is_unimodular).
     """
 
     value: float
@@ -234,7 +234,7 @@ def prop52_certificate(m: AnnulusMap, rho: float) -> CertificateResult:
         value=float(value),
         rho=rho,
         below_sqrt7=rho < SQRT7,
-        trace_not_unimodular=not _inner_trace(m)[2],
+        trace_not_unimodular=not _trace_is_unimodular(m),
     )
 
 

@@ -13,6 +13,7 @@ from nitsche_lab import (
     AnnulusMap,
     conformal_modulus,
     evaluate,
+    evaluate_rings,
     is_conformal,
     random_annulus_map,
     read_ahm,
@@ -27,7 +28,9 @@ from nitsche_lab.annulus_core import (
     CoefficientRangeError,
     _check_radius,
     _inner_trace,
+    _trace_is_unimodular,
 )
+from nitsche_lab.nitsche_family import example_51_map
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
@@ -65,6 +68,33 @@ def test_log_term_jet():
     # d/dz of a0 log|z| is a0/(2z)
     assert abs(jet.d_z - 1.0 / z) <= 1e-14
     assert abs(jet.d_zbar - 1.0 / np.conj(z)) <= 1e-14
+
+
+JET_FIELDS = ("value", "d_rho", "d_theta", "d_z", "d_zbar", "jacobian", "grad_norm_sq")
+
+
+@pytest.mark.parametrize("n_max", [1, 8, 40])
+def test_evaluate_rings_matches_evaluate_on_ring_grids(n_max):
+    rng = np.random.default_rng(n_max)
+    R = 3.0
+    m = random_annulus_map(rng, n_max=n_max, R=R, log_scale=0.5)
+    theta = np.append(_quad.theta_grid(24), rng.uniform(0.0, 2.0 * np.pi, 5))
+    radii = (1.0, R, 2.2, np.array([1.0, 1.7, R]), np.linspace(1.0, R, 6).reshape(2, 3))
+    for rho in radii:
+        fast = evaluate_rings(m, rho, theta)
+        ref = evaluate(m, np.multiply.outer(rho, np.exp(1j * theta)))
+        for name in JET_FIELDS:
+            got, want = getattr(fast, name), getattr(ref, name)
+            assert got.shape == np.shape(rho) + theta.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
+    point, ref = evaluate_rings(m, 1.5, 0.3), evaluate(m, 1.5 * np.exp(0.3j))
+    for name in JET_FIELDS:
+        got, want = getattr(point, name), getattr(ref, name)
+        assert type(got) is type(want)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), name
+    for rho in (0.99, np.array([1.0, R * (1.0 + 1e-9)]), math.nan):
+        with pytest.raises(AnnulusDomainError):
+            evaluate_rings(m, rho, theta)
 
 
 @settings(max_examples=25, deadline=None)
@@ -282,6 +312,19 @@ def test_inner_trace_degree_matches_fine_grid():
         assert min_mod >= np.min(np.abs(fine)) * (1.0 - 1e-12)  # a subset of the nodes
         seen.add(degree)
     assert {-1, 1} <= seen
+
+
+def test_unimodular_flag_matches_the_inner_trace_search():
+    rng = np.random.default_rng(5)
+    maps = [random_annulus_map(rng, n_max=1 + k % 12, R=30.0, decay=3.0, log_scale=0.3)
+            for k in range(60)]
+    # unimodular traces: the circle itself, a rotated Moebius trace, h_0
+    maps += [AnnulusMap(R=2.0, terms={1: (0.5, 0.5)}),
+             rotate(example_51_map(0.5, R=20.0), 0.7),
+             AnnulusMap(R=5.0, log_a0=0.3, log_b0=1j, terms={})]
+    flags = [_trace_is_unimodular(m) for m in maps]
+    assert flags == [_inner_trace(m)[2] for m in maps]
+    assert flags[-3:] == [True, True, True] and not any(flags[:-3])
 
 
 @pytest.mark.parametrize("interval", ["[1, R)", "[1, R]", "(1, R]", "(1, R)"])

@@ -124,6 +124,24 @@ def test_example51_summary(capsys):
     assert main(["example51", "--R", "5"]) == 0
     rows = [l for l in capsys.readouterr().out.splitlines() if "," in l]
     assert float(rows[-1].split(",")[0]) == 5.0
+    # the default table is on A(1, 20), the grid's reach, and the margins do
+    # not depend on R: a = 0.7 needs 104 modes, within the cap there
+    assert main(["example51", "--a", "0.7"]) == 0
+    assert "mean_jacobian" in capsys.readouterr().out
+    assert main(["example51", "--a", "0.5", "--R", "1000"]) == 0
+    wide = capsys.readouterr().out
+    assert main(["example51", "--a", "0.5"]) == 0
+    assert capsys.readouterr().out == wide
+
+
+def test_csv_cells_match_the_per_cell_format():
+    table = np.array([[0.0, -0.0, 1.0 / 3.0, 2.0**53 + 2.0],
+                      [1e-300, -5e-324, math.inf, -math.inf],
+                      [math.nan, 1e300, -2.5, 0.1]])
+    header = ["a", "b", "c", "d"]
+    lines = [",".join(header)] + [",".join(cli._fmt(x) for x in row) for row in table.tolist()]
+    assert cli._csv(header, table) == "\n".join(lines) + "\n"
+    assert cli._csv(header, table.tolist()) == cli._csv(header, table)
 
 
 def test_verify_passes_and_is_deterministic(capsys):
@@ -214,7 +232,7 @@ def test_overflow_exits_3_with_one_line(tmp_path, capsys):
     p = tmp_path / "z600.ahm"  # |z^600|^2 = rho^1200 overflows at rho = 2
     write_map(p, AnnulusMap(R=math.e, terms={600: (1.0, 0.0)}))
     for argv in (["qforms", "--rho-grid", "3:1e40:2"],
-                 ["example51", "--a", "0.9"],  # N log R = 2417.7 > the table cap
+                 ["example51", "--a", "0.9"],  # N log R = 1048.5 > the table cap
                  ["means", "--map", str(p), "--rho-grid", "1:2:3"]):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

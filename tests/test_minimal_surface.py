@@ -95,6 +95,72 @@ def test_critical_family_lift_heights():
         assert not res.flat
 
 
+@pytest.mark.parametrize("R", [30.0, 100.0, 300.0])
+def test_critical_family_closed_form_at_large_R(R):
+    for v in (0.0, 0.5, 0.9):
+        res = lift(nitsche_map(NitscheParams(v=v, R=R)))
+        expected = math.sqrt(1.0 - v * v) * np.log(res.rho_grid)[:, None]
+        assert np.max(np.abs(res.w - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _eight_mode_table(R):
+    # z + 0.2 conj(z)^-1 + sum_{n=2..8} (1e-3/n) conj(z)^-n: phi has no zeros
+    # in the annulus
+    return AnnulusMap(R=R, terms={1: (1.0, 0.2), **{n: (0.0, 1e-3 / n) for n in range(2, 9)}})
+
+
+def _high_order_table(R, N=20):
+    # h_z = 1 + 0.9 (z/R)^(N-1) and a conj(z)^-N term: near z = 1 the ray
+    # integrand varies like rho^-N
+    return AnnulusMap(R=R, terms={1: (1.0, 0.3), N: (0.9 / (N * R ** (N - 1)), 0.009)})
+
+
+@pytest.mark.parametrize("m", [_eight_mode_table(R) for R in (5.0, 30.0, 100.0, 300.0)]
+                         + [_high_order_table(300.0)], ids=lambda m: f"N{m.order}_R{m.R:g}")
+def test_ray_rule_matches_four_times_the_panels(m, monkeypatch):
+    res = lift(m)
+    monkeypatch.setattr(minimal_surface, "RAY_PANEL_DENSITY",
+                        4 * minimal_surface.RAY_PANEL_DENSITY)
+    fine = lift(m)
+    for name in ("w", "sqrt_phi"):
+        got, want = getattr(res, name), getattr(fine, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+def test_ray_panels_grow_with_the_order(monkeypatch):
+    # one 16-node panel per coarse interval, whatever N log(rho) it spans, is
+    # off by about 1e-6 on the order-20 table at R = 300
+    m = _high_order_table(300.0)
+    res = lift(m)
+    monkeypatch.setattr(minimal_surface, "RAY_PANEL_DENSITY", 1e-3)
+    coarse = lift(m)
+    assert np.max(np.abs(coarse.w - res.w)) > 1e-9 * np.max(np.abs(res.w))
+
+
+def test_max_turn_between_nonzero_nodes():
+    g = np.exp(1j * np.array([0.0, 0.1, 0.3, 0.6]))
+    assert minimal_surface._max_turn(g) == pytest.approx(0.3)
+    # zero entries are skipped, per column; one nonzero value has no turn
+    g = np.array([[0, 1], [1, 0], [0, 0], [1j, -1]], dtype=complex)
+    assert minimal_surface._max_turn(g) == pytest.approx(np.pi)
+    assert minimal_surface._max_turn(np.array([0, 2, 0], dtype=complex)) == 0.0
+
+
+def test_lift_refuses_an_under_resolved_turn():
+    # phi has a double zero just inside the unit circle, so outside the
+    # annulus; there sqrt(phi) ~ (z - z0) turns fast along the circle path
+    def table(depth):
+        z0 = (1.0 - depth) * np.exp(2j * np.pi * 5.5 / 64)
+        c = -0.09 * (z0 / abs(z0)) ** 2
+        return AnnulusMap(R=2.0, terms={1: (1, 0), 2: (-1 / z0, 0),
+                                        3: (1 / (3 * z0**2), -np.conj(c) / 3)})
+    assert phi_zeros(table(1e-4)) == []
+    with pytest.raises(BranchError, match=r"turns by \d+\.\d degrees"):
+        lift(table(1e-4))
+    res = lift(table(1e-2))
+    assert 0.0 < res.max_turn <= minimal_surface.MAX_TURN
+
+
 def test_lift_width_and_gauge(critical):
     res = lift(critical)
     assert np.max(np.abs(res.w[0, :])) <= 1e-12  # w = 0 on the unit circle
