@@ -38,6 +38,11 @@ __all__ = [
 # |n| <= N, are e^{nt}, so the rule's error on a panel is set by N times its
 # log-width, whatever R is.
 RAY_PANEL_DENSITY = 1.0
+# sqrt(phi) also has branch points at the zeros of phi off the annulus.  A
+# panel is halved until its distance to each, in the path variable (t on a
+# ray, theta on the circle), is at least ZERO_CLEARANCE times its width; its
+# Bernstein ellipse then reaches beyond 2.6, for an error below about 1e-13.
+ZERO_CLEARANCE = 0.5
 # Largest turn of the continued sqrt(phi) between two path nodes that the
 # march may decide; a wider turn means the path is too coarse.
 MAX_TURN = math.pi / 4
@@ -51,11 +56,11 @@ class BranchError(ValueError):
     """Branch tracking failed to close, or w is multivalued around the hole."""
 
 
-def _laurent_factors(m: AnnulusMap) -> tuple[np.ndarray, np.ndarray, int]:
+def _laurent_factors(m: AnnulusMap) -> tuple[np.ndarray, np.ndarray]:
     """Laurent coefficient arrays of h_z and conj(h_zbar) as functions of z.
 
     Both factors have exponents in [-(N+1), N-1]; returned arrays are indexed
-    by exponent + (N+1), together with the offset N+1.
+    by exponent + (N+1).
     """
     N = max(m.order, 1)
     size = 2 * N + 1
@@ -67,7 +72,26 @@ def _laurent_factors(m: AnnulusMap) -> tuple[np.ndarray, np.ndarray, int]:
     for n, (a, b) in m.terms.items():
         P[off + n - 1] += n * a  # n a_n z^{n-1}
         Q[off - n - 1] += -n * b.conjugate()  # -n conj(b_n) z^{-n-1}
-    return P, Q, off
+    return P, Q
+
+
+def _factor_roots(m: AnnulusMap) -> np.ndarray | None:
+    """Roots of the two polynomial factors z^{N+1} h_z and z^{N+1}
+    conj(h_zbar) of phi, or None when either factor vanishes identically."""
+    roots = []
+    for coef in _laurent_factors(m):
+        if not np.any(np.abs(coef) > 0):
+            return None
+        # numpy poly order is highest degree first
+        c = coef[::-1].copy()
+        lead = int(np.argmax(np.abs(c) > 0))
+        roots.append(np.roots(c[lead:]))
+    return np.concatenate(roots)
+
+
+def _on_annulus(roots: np.ndarray, R: float) -> np.ndarray:
+    """Mask of the roots within 1e-9 of the closed annulus A(1, R)."""
+    return (np.abs(roots) >= 1.0 - 1e-9) & (np.abs(roots) <= R + 1e-9)
 
 
 def phi_zeros(m: AnnulusMap) -> list[tuple[complex, int]]:
@@ -79,18 +103,10 @@ def phi_zeros(m: AnnulusMap) -> list[tuple[complex, int]]:
     and clusters within 1e-6 are merged into one zero with summed
     multiplicity.
     """
-    P, Q, _ = _laurent_factors(m)
-    roots: list[complex] = []
-    for coef in (P, Q):
-        if not np.any(np.abs(coef) > 0):
-            return []
-        # numpy poly order is highest degree first
-        c = coef[::-1].copy()
-        lead = int(np.argmax(np.abs(c) > 0))
-        c = c[lead:]
-        if c.size > 1:
-            roots.extend(np.roots(c))
-    inside = [r for r in roots if 1.0 - 1e-9 <= abs(r) <= m.R + 1e-9]
+    roots = _factor_roots(m)
+    if roots is None:
+        return []
+    inside = roots[_on_annulus(roots, m.R)]
     clusters: list[list[complex]] = []
     for r in inside:
         for cl in clusters:
@@ -154,15 +170,15 @@ def _max_turn(g: np.ndarray) -> float:
 
 
 def _zero_free_branch(m: AnnulusMap, zeros, rho, theta, start=None):
-    """(jet, phi, g, q g, turn) on the polar grid rho e^{i theta}, marched along
+    """(jet, phi, g, q g) on the polar grid rho e^{i theta}, marched along
     axis 0 from one evaluate_rings.
 
     g continues sqrt(phi / q^2) with q = prod (z - z0)^(k/2) over the known
     zeros of phi, so the march follows the zero-free quotient through them,
     and q g continues sqrt(phi) (0 where q = 0).  start is g at the first
     row, or None for the g that makes q g the principal sqrt(phi) there.
-    turn is _max_turn(g); BranchError if it exceeds MAX_TURN, where the
-    path is too coarse for the march to decide a step.
+    BranchError if g turns by more than MAX_TURN between two nodes, where
+    the path is too coarse for the march to decide a step.
     """
     jet = evaluate_rings(m, rho, theta)
     phi = jet.d_z * np.conj(jet.d_zbar)
@@ -182,21 +198,34 @@ def _zero_free_branch(m: AnnulusMap, zeros, rho, theta, start=None):
         raise BranchError(
             f"sqrt(phi) turns by {math.degrees(turn):.1f} degrees between path "
             f"nodes (limit {math.degrees(MAX_TURN):g}): path too coarse")
-    return jet, phi, g, q * g, turn
+    return jet, phi, g, q * g
 
 
-def _node_path(edges: np.ndarray, panels):
+def _node_path(edges: np.ndarray, panels, singular: np.ndarray):
     """(path, weights, coarse): each edges[i] followed by the Gauss-Legendre
     nodes of [edges[i], edges[i+1]] in panels[i] equal panels (an int array,
     or one int for all), ending at edges[-1]; weights are 0 at the edges, and
-    path[coarse] is edges."""
+    path[coarse] is edges.  A panel closer to a point of singular (complex
+    points of the path variable) than ZERO_CLEARANCE times its width is
+    halved, for at most 40 rounds, so panels shrink geometrically towards a
+    nearby branch point."""
     n = edges.size - 1
     per = np.broadcast_to(np.asarray(panels, dtype=np.int64), (n,))
     interval = np.repeat(np.arange(n), per)
     k = np.arange(interval.size) - np.repeat(np.cumsum(per) - per, per)
     lo = edges[interval] + np.diff(edges)[interval] * (k / per[interval])
-    nodes, weights = _quad.panel_rule(np.append(lo, edges[-1]))
-    starts = (np.cumsum(per) - per) * (nodes.size // interval.size)
+    fine, first = np.append(lo, edges[-1]), np.append(k == 0, True)
+    for _ in range(40 if singular.size else 0):
+        a, b = fine[:-1, None], fine[1:, None]
+        gap = np.maximum(np.maximum(a - singular.real, singular.real - b), 0.0)
+        dist = np.hypot(gap, singular.imag).min(axis=1)
+        split = np.flatnonzero(dist < ZERO_CLEARANCE * np.diff(fine))
+        if not split.size:
+            break
+        fine = np.insert(fine, split + 1, (fine[split] + fine[split + 1]) / 2.0)
+        first = np.insert(first, split + 1, False)
+    nodes, weights = _quad.panel_rule(fine)
+    starts = np.flatnonzero(first[:-1]) * (nodes.size // (fine.size - 1))
     path = np.append(np.insert(nodes, starts, edges[:-1]), edges[-1])
     weights = np.append(np.insert(weights, starts, 0.0), 0.0)
     return path, weights, np.append(starts + np.arange(n), path.size - 1)
@@ -238,7 +267,6 @@ class MinimalLift:
     mu: np.ndarray  # second dilatation, nan where h_z = 0
     conformality_residual: float
     loop_residual: float  # closure defect of w around the unit circle
-    max_turn: float  # largest turn of the branch between path nodes, radians
     flat: bool
 
     @property
@@ -255,8 +283,10 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
     angle followed by the Gauss-Legendre nodes of its interval, then up each
     radial ray from its angle on the circle, each coarse radius followed by
     Gauss-Legendre nodes in log(rho) (RAY_PANEL_DENSITY panels per unit of
-    N log(rho), so the ray costs no more at large R).  Both paths are
-    evaluated by evaluate_rings.  The known even-order zeros of phi are
+    N log(rho)).  On both paths the panels are halved towards the zeros of
+    phi off the annulus (ZERO_CLEARANCE), so the ray costs no more at large R
+    unless such a zero lies near it.  Both paths are evaluated by
+    evaluate_rings.  The known even-order zeros of phi are
     divided out first, so the branch passes through them.  w comes from
     dw = 2 Re(w_z dz).  Raises NoLiftError on an odd-order zero of phi and
     BranchError if the branch turns by more than MAX_TURN between two path
@@ -276,8 +306,8 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
         bad = [(z0, k) for z0, k in zeros if k % 2 == 1]
         raise NoLiftError(f"odd-order zeros of phi in the annulus: {bad}")
 
-    P, Q, _ = _laurent_factors(m)
-    if not (np.any(np.abs(P) > 0) and np.any(np.abs(Q) > 0)):
+    roots = _factor_roots(m)
+    if roots is None:
         shape = (n_rho, n_theta)
         jet = evaluate_rings(m, rho_grid, theta_grid)
         return MinimalLift(
@@ -289,14 +319,21 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
             mu=_dilatation(jet.d_z, jet.d_zbar),
             conformality_residual=0.0,
             loop_residual=0.0,
-            max_turn=0.0,
             flat=True,
         )
 
+    # zeros z0 of phi off the annulus, where sqrt(phi) may branch: on the
+    # circle at theta = arg z0 - i log|z0| (and 2 pi either side), on a ray
+    # at t = log|z0| + i (the ray's angle to z0)
+    off = roots[(roots != 0) & ~_on_annulus(roots, m.R)]
+    arg, log_r = np.mod(np.angle(off), 2.0 * np.pi), np.log(np.abs(off))
+    on_circle = np.concatenate([arg - 2.0 * np.pi, arg, arg + 2.0 * np.pi]) - 1j * np.tile(log_r, 3)
+    to_ray = np.abs(np.angle(np.exp(1j * np.subtract.outer(arg, theta_grid))))
+
     # around the unit circle, calibrated at z = 1
     th, wts_T, coarse_T = _node_path(
-        np.append(theta_grid, 2.0 * np.pi), max(2, 256 // n_theta))
-    _, _, g_T, s_T, turn_T = _zero_free_branch(m, zeros, 1.0, th)
+        np.append(theta_grid, 2.0 * np.pi), max(2, 256 // n_theta), on_circle)
+    _, _, g_T, s_T = _zero_free_branch(m, zeros, 1.0, th)
     if abs(g_T[-1] - g_T[0]) > 0.5 * abs(g_T[0]) + 1e-30:
         raise BranchError("sqrt(phi) branch does not close around the unit circle")
     w_T = _running_integral(0.0, 2.0 * (s_T * np.exp(1j * th)).real, wts_T, coarse_T)
@@ -310,10 +347,11 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
     t_grid = np.log(rho_grid)
     n_log = max(m.order, 1) * np.diff(t_grid)
     panels = np.ceil(RAY_PANEL_DENSITY * np.maximum(n_log, 1.0)).astype(np.int64)
-    t, wts_t, coarse_r = _node_path(t_grid, panels)
+    t, wts_t, coarse_r = _node_path(
+        t_grid, panels, log_r + 1j * to_ray.min(axis=1, initial=np.pi))
     r = np.exp(t)
     r[coarse_r] = rho_grid
-    jet, phi, _, s, turn_r = _zero_free_branch(
+    jet, phi, _, s = _zero_free_branch(
         m, zeros, r, theta_grid, g_T[coarse_T[:-1]])
     dw = 2.0 * (-1j * s * np.exp(1j * theta_grid)).real
     w = _running_integral(w_T[:-1], dw, wts_t * r, coarse_r)
@@ -331,7 +369,6 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
         mu=_dilatation(d_z, d_zbar),
         conformality_residual=residual / max(scale, 1e-300),
         loop_residual=loop_residual,
-        max_turn=max(turn_T, turn_r),
         flat=False,
     )
 

@@ -70,6 +70,18 @@ def test_log_term_jet():
     assert abs(jet.d_zbar - 1.0 / np.conj(z)) <= 1e-14
 
 
+@pytest.mark.parametrize("rho", [3.0, 1e4, 1e8])
+def test_wirtinger_derivatives_far_out(rho):
+    # h = z + 0.3 / conj(z): h_zbar = -0.3 conj(z)^-2 is rho^-2 below h_z,
+    # and h_rho + i h_theta / rho would cancel the z term to get it
+    m = AnnulusMap(R=rho, terms={1: (1.0, 0.3)})
+    z = rho * np.exp(0.7j)
+    for jet in (evaluate(m, z), evaluate_rings(m, rho, 0.7)):
+        assert abs(jet.d_z - 1.0) <= 1e-15
+        assert abs(jet.d_zbar + 0.3 / np.conj(z) ** 2) <= 1e-15 * 0.3 / rho**2
+        assert abs(jet.jacobian - (1.0 - 0.09 / rho**4)) <= 1e-15
+
+
 JET_FIELDS = ("value", "d_rho", "d_theta", "d_z", "d_zbar", "jacobian", "grad_norm_sq")
 
 

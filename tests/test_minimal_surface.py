@@ -95,12 +95,14 @@ def test_critical_family_lift_heights():
         assert not res.flat
 
 
-@pytest.mark.parametrize("R", [30.0, 100.0, 300.0])
+@pytest.mark.parametrize("R", [30.0, 100.0, 300.0, 1e4])
 def test_critical_family_closed_form_at_large_R(R):
+    # h_zbar is a termwise sum, so its tiny b_1 / conj(z)^2 does not come
+    # from cancelling h_rho against h_theta: no error growing like R^2
     for v in (0.0, 0.5, 0.9):
         res = lift(nitsche_map(NitscheParams(v=v, R=R)))
         expected = math.sqrt(1.0 - v * v) * np.log(res.rho_grid)[:, None]
-        assert np.max(np.abs(res.w - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(res.w - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def _eight_mode_table(R):
@@ -128,13 +130,49 @@ def test_ray_rule_matches_four_times_the_panels(m, monkeypatch):
 
 
 def test_ray_panels_grow_with_the_order(monkeypatch):
-    # one 16-node panel per coarse interval, whatever N log(rho) it spans, is
-    # off by about 1e-6 on the order-20 table at R = 300
+    # with the panels not halved towards zeros of phi, the order rule alone
+    # resolves the order-20 table at R = 300, and one 16-node panel per
+    # coarse interval, whatever N log(rho) it spans, is off by about 1e-6
     m = _high_order_table(300.0)
     res = lift(m)
+    monkeypatch.setattr(minimal_surface, "ZERO_CLEARANCE", 0.0)
+    ungraded = lift(m)
+    assert np.max(np.abs(ungraded.w - res.w)) <= 1e-12 * np.max(np.abs(res.w))
     monkeypatch.setattr(minimal_surface, "RAY_PANEL_DENSITY", 1e-3)
     coarse = lift(m)
     assert np.max(np.abs(coarse.w - res.w)) > 1e-9 * np.max(np.abs(res.w))
+
+
+def _zeros_at_pm(c, R):
+    # h_z = 1 - z^2/c^2 and conj(h_zbar) = -0.3 z^-2: phi has simple zeros at
+    # +-c, and winds an even number of times
+    return AnnulusMap(R=R, terms={1: (1.0, 0.3), 3: (-1.0 / (3.0 * c * c), 0.0)})
+
+
+@pytest.mark.parametrize("c", [0.999, 0.999 * np.exp(-1e-4j), 30.03],
+                         ids=["inside_T", "inside_T_below_2pi", "beyond_R"])
+def test_panels_halved_towards_zeros_off_the_annulus(c, monkeypatch):
+    # sqrt(phi) has branch points 1e-3 in log(rho) off the path, on or near
+    # the rays theta = 0 and pi, where the order rule gives one panel of
+    # log-width 0.65 (inner) or 0.03 (outer)
+    m = _zeros_at_pm(c, 30.0)
+    assert phi_zeros(m) == []
+    res = lift(m)
+    with monkeypatch.context() as patch:
+        patch.setattr(minimal_surface, "RAY_PANEL_DENSITY",
+                      4 * minimal_surface.RAY_PANEL_DENSITY)
+        patch.setattr(minimal_surface, "ZERO_CLEARANCE", 4 * minimal_surface.ZERO_CLEARANCE)
+        fine = lift(m)
+    for name in ("w", "sqrt_phi"):
+        got, want = getattr(res, name), getattr(fine, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+    # w has no period around the hole, and the circle path is halved towards
+    # a zero near theta = 0 at both of its ends
+    assert res.loop_residual <= 1e-14 * np.max(np.abs(res.w))
+    # without the halving, both are off by about 1e-11
+    monkeypatch.setattr(minimal_surface, "ZERO_CLEARANCE", 0.0)
+    ungraded = lift(m)
+    assert np.max(np.abs(ungraded.w - fine.w)) > 1e-12 * np.max(np.abs(fine.w))
 
 
 def test_max_turn_between_nonzero_nodes():
@@ -146,19 +184,44 @@ def test_max_turn_between_nonzero_nodes():
     assert minimal_surface._max_turn(np.array([0, 2, 0], dtype=complex)) == 0.0
 
 
-def test_lift_refuses_an_under_resolved_turn():
+def _double_zero_table(z0):
+    # (m, exact): h_z = (1 - z/z0)^2 and conj(h_zbar) = c z^-4 with
+    # c = -0.09 (z0/|z0|)^2, so phi has a double zero at z0 and
+    # sqrt(phi) = +-sqrt(c) (1 - z/z0) z^-2; i sqrt(c)/z0 is real, and up to
+    # sign the lift is exact(z) = 2 Re[i sqrt(c)/z - i sqrt(c)] + 2 (i sqrt(c)/z0) log|z|
+    c = -0.09 * (z0 / abs(z0)) ** 2
+    m = AnnulusMap(R=2.0, terms={1: (1, 0), 2: (-1 / z0, 0),
+                                 3: (1 / (3 * z0**2), -np.conj(c) / 3)})
+    i_sqrt_c = 1j * np.sqrt(c)
+
+    def exact(z):
+        return 2.0 * ((i_sqrt_c / z).real - i_sqrt_c.real
+                      + (i_sqrt_c / z0).real * np.log(np.abs(z)))
+    return m, exact
+
+
+def _grid(res):
+    return np.multiply.outer(res.rho_grid, np.exp(1j * res.theta_grid))
+
+
+@pytest.mark.parametrize("depth", [1e-4, 1e-7])
+def test_lift_refuses_an_under_resolved_turn(depth, monkeypatch):
     # phi has a double zero just inside the unit circle, so outside the
     # annulus; there sqrt(phi) ~ (z - z0) turns fast along the circle path
-    def table(depth):
-        z0 = (1.0 - depth) * np.exp(2j * np.pi * 5.5 / 64)
-        c = -0.09 * (z0 / abs(z0)) ** 2
-        return AnnulusMap(R=2.0, terms={1: (1, 0), 2: (-1 / z0, 0),
-                                        3: (1 / (3 * z0**2), -np.conj(c) / 3)})
-    assert phi_zeros(table(1e-4)) == []
-    with pytest.raises(BranchError, match=r"turns by \d+\.\d degrees"):
-        lift(table(1e-4))
-    res = lift(table(1e-2))
-    assert 0.0 < res.max_turn <= minimal_surface.MAX_TURN
+    z0 = (1.0 - depth) * np.exp(2j * np.pi * 5.5 / 64)
+    m, exact = _double_zero_table(z0)
+    assert phi_zeros(m) == []
+    # the panels halved towards z0 resolve the turn
+    res = lift(m)
+    w = exact(_grid(res))
+    assert min(np.max(np.abs(res.w - s * w)) for s in (1, -1)) <= 1e-13 * np.max(np.abs(w))
+    monkeypatch.setattr(minimal_surface, "ZERO_CLEARANCE", 0.0)
+    if depth == 1e-4:
+        with pytest.raises(BranchError, match=r"turns by \d+\.\d degrees"):
+            lift(m)
+    else:  # a step of more than 135 degrees reads as a sign flip
+        with pytest.raises(BranchError, match="does not close"):
+            lift(m)
 
 
 def test_lift_width_and_gauge(critical):
@@ -210,31 +273,20 @@ def test_critical_map_phi_is_negative_real(critical):
 
 @pytest.mark.parametrize("r0, dtheta", [(1.7, 0.0), (1.5, 0.0), (1.7, 1e-4)])
 def test_lift_follows_branch_through_double_zero_on_ray(r0, dtheta):
-    # h_z = (1 - z/z0)^2 and conj(h_zbar) = c z^-4 with c = -k^2 (z0/|z0|)^2,
-    # so phi has a double zero at z0, on (or 1e-4 rad off) the grid ray
-    # theta = 2 pi 5/64; with sqrt(c) = i k z0/|z0| the exact lift is
-    # w = +-2 [Re(i sqrt(c)/z) - Re(i sqrt(c)) - (k/|z0|) log|z|]
-    k = 0.3
+    # phi has a double zero at z0, on (or 1e-4 rad off) the grid ray
+    # theta = 2 pi 5/64
     z0 = r0 * np.exp(1j * (2.0 * np.pi * 5 / 64 + dtheta))
-    c = -(k**2) * (z0 / abs(z0)) ** 2
-    m = AnnulusMap(R=2.0, terms={1: (1, 0), 2: (-1 / z0, 0),
-                                 3: (1 / (3 * z0**2), -np.conj(c) / 3)})
+    m, exact_at = _double_zero_table(z0)
     assert [mult for _, mult in phi_zeros(m)] == [2]
     res = lift(m)
-    z = res.rho_grid[:, None] * np.exp(1j * res.theta_grid)[None, :]
-    sqrt_c = 1j * k * z0 / abs(z0)
-    exact = 2.0 * ((1j * sqrt_c / z).real - (1j * sqrt_c).real
-                   - k / abs(z0) * np.log(np.abs(z)))
+    exact = exact_at(_grid(res))
     ray = res.w[:, 5]
     assert min(np.max(np.abs(ray - s * exact[:, 5])) for s in (1, -1)) <= 1e-12
     assert min(np.max(np.abs(res.w - s * exact)) for s in (1, -1)) <= 1e-12
 
 
 def test_lift_matches_loop_march(critical, monkeypatch):
-    z0 = 1.7 * np.exp(2j * np.pi * 5 / 64)
-    c = -0.09 * (z0 / abs(z0)) ** 2
-    double_zero = AnnulusMap(R=2.0, terms={1: (1, 0), 2: (-1 / z0, 0),
-                                           3: (1 / (3 * z0**2), -np.conj(c) / 3)})
+    double_zero, _ = _double_zero_table(1.7 * np.exp(2j * np.pi * 5 / 64))
     fast = [lift(m) for m in (critical, double_zero)]
     monkeypatch.setattr(minimal_surface, "_march_branch", _march_branch_loop)
     for m, res in zip((critical, double_zero), fast):
