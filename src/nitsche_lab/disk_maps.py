@@ -10,6 +10,14 @@ The chain verified here:  integral over the boundary circle of |det Df|
 xi that is nonnegative for increasing xi; its nonnegativity reduces, after
 a plus/minus region split, to a two-variable inequality Psi(alpha, beta)
 >= 0 on an explicit triangle-like region, also checked here by scanning.
+
+Samples on the uniform grid theta_grid(M) are inverse FFTs
+(_quad.circle_samples).  On that grid the plain functional's kernel depends
+on (theta_i, alpha_j) through zeta_i - zeta_{i-j}, so its double trapezoid is
+one circular correlation of zeta' e^{i zeta} with e^{i zeta}, O(M log M); the
+rounding of that correlation is divided by 1 - cos alpha_j, most at the
+first column.  The dense series _circle_series serves arbitrary angles: the
+split's Gauss-Legendre alpha nodes and scalar theta.
 """
 
 from __future__ import annotations
@@ -123,6 +131,13 @@ class BoundaryHomeo:
         ns, zn = self._ns, self._zn  # type: ignore[attr-defined]
         return 2.0 * _circle_series(theta, ns, 1j * ns * zn).real
 
+    def _on_grid(self, M: int, derivative: int) -> np.ndarray:
+        """zeta (derivative 0) or zeta' (derivative 1) on theta_grid(M), by one
+        inverse FFT."""
+        ns, zn = self._ns, self._zn  # type: ignore[attr-defined]
+        z0 = self.zeta_coeffs.get(0, 0.0).real if derivative == 0 else 0.0
+        return z0 + 2.0 * _quad.circle_samples(ns, (1j * ns) ** derivative * zn, M).real
+
     def xi(self, theta) -> np.ndarray:
         return np.asarray(theta, dtype=float) + self.zeta(theta)
 
@@ -135,7 +150,7 @@ class BoundaryHomeo:
         |xi''| <= sum 2 n^2 |z_n|, and an undecided xi' reads False."""
         lip = sum(2.0 * n * n * abs(c) for n, c in self.zeta_coeffs.items())
         return _quad.nonvanishing_samples(
-            lambda M: self.xi_prime(_quad.theta_grid(M)), lip, self.order)[1]
+            lambda M: 1.0 + self._on_grid(M, 1), lip, self.order)[1]
 
     def require_monotone(self) -> None:
         if not self.is_monotone():
@@ -204,9 +219,8 @@ def poisson_extend(bdry: BoundaryHomeo | AnnulusMap, N: int = 128) -> DiskMap:
         return DiskMap(coeffs={n: c for n, c in trace(bdry, 1.0).items() if c != 0 or n == 0})
     if N < 1:
         raise ValueError("truncation order must be >= 1")
-    M = 1 << max(9, (8 * N - 1).bit_length())
-    theta = _quad.theta_grid(M)
-    vals = np.exp(1j * bdry.xi(theta))
+    M = 1 << max(9, (8 * max(N, bdry.order) - 1).bit_length())
+    vals = np.exp(1j * (_quad.theta_grid(M) + bdry._on_grid(M, 0)))
     spec = np.fft.fft(vals) / M
     return DiskMap(coeffs={n: complex(spec[n]) for n in range(-N, N + 1)})
 
@@ -287,15 +301,19 @@ def boundary_normal_derivative(
     (1/2pi) integral over alpha of (1 - cos[xi(theta) - xi(theta-alpha)])
     / (1 - cos alpha); the alpha = 0 node takes the diagonal limit
     xi'(theta)^2.  Trapezoid in alpha is spectrally accurate because the
-    extended integrand is smooth and periodic.
+    extended integrand is smooth and periodic.  With c_n = z_n e^{in theta},
+    zeta(theta) - zeta(theta - alpha) = 2 Re sum_n c_n (1 - e^{-in alpha}),
+    so the alpha samples are one inverse FFT of the modes -n.
     """
     _require_ring_size(bdry, M)
     bdry.require_monotone()
-    alpha = _quad.theta_grid(M)
-    beta = alpha[1:] + _zeta_difference(bdry, theta, alpha[1:])
+    ns, zn = bdry._ns, bdry._zn  # type: ignore[attr-defined]
+    c = zn * np.exp(1j * ns * theta)
+    alpha = _quad.theta_grid(M)[1:]
+    beta = alpha + 2.0 * (np.sum(c) - _quad.circle_samples(-ns, c, M)[1:]).real
     vals = np.empty(M)
     vals[0] = float(bdry.xi_prime(theta)) ** 2
-    vals[1:] = _one_minus_cos(beta) / _one_minus_cos(alpha[1:])
+    vals[1:] = _one_minus_cos(beta) / _one_minus_cos(alpha)
     return float(np.mean(vals))
 
 
@@ -314,17 +332,23 @@ def lemma_functional(bdry: BoundaryHomeo, M: int = 512) -> float:
     variable alpha = theta - phi and evaluated by an M x M double trapezoid;
     the alpha = 0 column takes the diagonal limit xi'(theta)^2.  Zero exactly
     for xi = theta + const.
+
+    On theta_grid(M) the kernel depends on column j only through the shift
+    i - j, so the double sum is one circular correlation: with E = e^{i zeta},
+    sum_i zeta'_i cos(alpha_j + zeta_i - zeta_{i-j}) = Re(e^{i alpha_j} C_j),
+    C = ifft(fft(zeta' E) conj(fft(E))), in O(M log M).  The rounding of C is
+    divided by 1 - cos alpha_j, most at the first column (about (2 pi/M)^2 / 2),
+    which the weight (2 pi/M)^2 cancels, so the result stays within about
+    M eps max(1, |L|) of the dense double sum.
     """
     _require_ring_size(bdry, M)
     bdry.require_monotone()
-    theta = _quad.theta_grid(M)
-    zp = bdry.zeta_prime(theta)
-    # rows: theta, columns: alpha on the same grid
-    beta = theta[None, 1:] + _zeta_difference(bdry, theta, theta[1:])
-    kernel = np.empty((M, M))
-    kernel[:, 0] = (1.0 + zp) ** 2
-    kernel[:, 1:] = _one_minus_cos(beta) / _one_minus_cos(theta[1:])[None, :]
-    return float((2.0 * np.pi / M) ** 2 * np.sum(kernel * zp[:, None]))
+    alpha = _quad.theta_grid(M)[1:]
+    zp = bdry._on_grid(M, 1)
+    E = np.exp(1j * bdry._on_grid(M, 0))
+    C = np.fft.ifft(np.fft.fft(zp * E) * np.conj(np.fft.fft(E)))[1:]
+    columns = (np.sum(zp) - (np.exp(1j * alpha) * C).real) / _one_minus_cos(alpha)
+    return float((2.0 * np.pi / M) ** 2 * (np.sum(zp * (1.0 + zp) ** 2) + np.sum(columns)))
 
 
 @dataclass(frozen=True)
@@ -375,7 +399,7 @@ def lemma_functional_split(
         raise ValueError("need at least one Gauss-Legendre panel per band")
     bdry.require_monotone()
     theta = _quad.theta_grid(M)
-    zp = bdry.zeta_prime(theta)
+    zp = bdry._on_grid(M, 1)
 
     a_nodes, a_wts = _quad.gauss_legendre_panels(-np.pi / 2, np.pi / 2, panels)
     one_minus_cos_beta = _one_minus_cos(_zeta_difference(bdry, theta, a_nodes))

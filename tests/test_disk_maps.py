@@ -29,6 +29,7 @@ from nitsche_lab.disk_maps import (
     NonMonotoneError,
     _circle_series,
     _one_minus_cos,
+    _zeta_difference,
     disk_area_quadrature,
     psi,
 )
@@ -37,6 +38,23 @@ from nitsche_lab.disk_maps import (
 def sine_homeo(eps: float = 0.2) -> BoundaryHomeo:
     # zeta(theta) = 2 eps sin(theta): coefficient -i eps at n = 1
     return BoundaryHomeo(zeta_coeffs={1: -1j * eps})
+
+
+def sine_family(a: float, n: int) -> BoundaryHomeo:
+    # zeta(theta) = a sin(n theta) / n, so xi' = 1 + a cos(n theta) dips to 1 - a
+    return BoundaryHomeo(zeta_coeffs={n: -0.5j * a / n})
+
+
+def _direct_lemma(bdry: BoundaryHomeo, M: int) -> float:
+    """Oracle for lemma_functional: the dense M x M double trapezoid, rows
+    theta and columns alpha on the same grid."""
+    theta = _quad.theta_grid(M)
+    zp = bdry.zeta_prime(theta)
+    beta = theta[None, 1:] + _zeta_difference(bdry, theta, theta[1:])
+    kernel = np.empty((M, M))
+    kernel[:, 0] = (1.0 + zp) ** 2
+    kernel[:, 1:] = _one_minus_cos(beta) / _one_minus_cos(theta[1:])[None, :]
+    return float((2.0 * np.pi / M) ** 2 * np.sum(kernel * zp[:, None]))
 
 
 def test_boundary_homeo_identity():
@@ -73,6 +91,18 @@ def test_poisson_extension_of_boundary_homeo():
     assert abs(f.coeffs[1] - 1.0) <= 1e-12
     others = [abs(c) for n, c in f.coeffs.items() if n != 1]
     assert max(others) <= 1e-12
+
+
+def test_poisson_extension_grid_follows_map_order():
+    """A map of order 600 truncated at N = 8 is sampled on a grid sized by its
+    order, not by N: its coefficients match those of a grid twice as fine."""
+    bdry = BoundaryHomeo(zeta_coeffs={1: 0.1, 600: 1e-4j})
+    assert bdry.order == 600 and bdry.is_monotone()
+    f = poisson_extend(bdry, N=8)
+    M = 2 * (1 << (8 * 600 - 1).bit_length())
+    spec = np.fft.fft(np.exp(1j * bdry.xi(_quad.theta_grid(M)))) / M
+    assert sorted(f.coeffs) == list(range(-8, 9))
+    assert max(abs(c - spec[n]) for n, c in f.coeffs.items()) <= 1e-12
 
 
 def test_chain_for_identity_disk_map():
@@ -131,9 +161,48 @@ def test_normal_derivative_matches_spectral(rng):
         assert abs(singular - spectral) <= 1e-8 * max(1.0, abs(spectral))
 
 
+def test_normal_derivative_matches_pointwise_xi(rng):
+    """The inverse-FFT singular integral at the default M = 4096 against the
+    same trapezoid with xi(theta) - xi(theta - alpha) formed pointwise,
+    including angles off [0, 2pi)."""
+    M = 4096
+    alpha = _quad.theta_grid(M)[1:]
+    for bdry in (random_boundary_homeo(rng, n_max=3), random_boundary_homeo(rng, n_max=12)):
+        for t in (0.0, -1.3, 2.0 * np.pi - 1e-9, 40.0):
+            beta = bdry.xi(t) - bdry.xi(t - alpha)
+            want = (float(bdry.xi_prime(t)) ** 2
+                    + np.sum(_one_minus_cos(beta) / _one_minus_cos(alpha))) / M
+            got = boundary_normal_derivative(bdry, t)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+    rotation = BoundaryHomeo(zeta_coeffs={0: 0.4})  # no positive modes
+    for t in (0.0, 2.5, 40.0):
+        assert abs(boundary_normal_derivative(rotation, t) - 1.0) <= 1e-15
+
+
 def test_functional_vanishes_on_rotations():
     for c in (0.0, 0.7, -2.0):
-        assert abs(lemma_functional(BoundaryHomeo(zeta_coeffs={0: c}))) <= 1e-10
+        rotation = BoundaryHomeo(zeta_coeffs={0: c})
+        assert lemma_functional(rotation) == 0.0
+        assert lemma_functional(rotation, M=64) == _direct_lemma(rotation, 64) == 0.0
+
+
+def test_functional_matches_dense_kernel():
+    """Oracle for the circular-correlation route: the dense M x M kernel, on
+    seeded random maps of order 1 to 12 and near-degenerate sine maps.  The
+    seeds step order and ring size together; 12 and 5 are coprime, so every
+    (order, M) pair occurs."""
+    cases = []
+    for seed in range(100):
+        n_max = 1 + seed % 12
+        bdry = random_boundary_homeo(np.random.default_rng(seed), n_max=n_max)
+        sizes = (_quad.exact_ring_size(n_max), 64, 256, 512, 1024)
+        cases.append((bdry, sizes[seed % 5]))
+    for a in (0.9, 0.99):
+        for n, M in ((1, 1024), (3, 64), (5, 512)):
+            cases.append((sine_family(a, n), M))
+    for bdry, M in cases:
+        want = _direct_lemma(bdry, M)
+        assert abs(lemma_functional(bdry, M=M) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_functional_positive_for_perturbation():
