@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "theta_grid", "ring_grid", "exact_ring_size", "gauss_legendre_panels", "radial_integral",
+    "theta_grid", "exact_ring_size", "gauss_legendre_panels", "radial_integral",
     "QuadratureNotConverged",
 ]
 
@@ -33,14 +33,6 @@ def circle_samples(ns: np.ndarray, coeffs: np.ndarray, M: int) -> np.ndarray:
     spec = np.zeros(M, dtype=complex)
     spec[ns % M] = coeffs
     return np.fft.ifft(spec, norm="forward")
-
-
-def ring_grid(rho, M: int) -> np.ndarray:
-    """Points rho e^{i theta} at the M trapezoid nodes, shape rho.shape + (M,).
-
-    rho is a scalar or an array of radii; rho = 1 gives the unit circle.
-    """
-    return np.multiply.outer(rho, np.exp(1j * theta_grid(M)))
 
 
 def exact_ring_size(order: int) -> int:

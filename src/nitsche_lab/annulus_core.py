@@ -178,7 +178,7 @@ def evaluate(m: AnnulusMap, z) -> PolarJet:
     z_arr = np.asarray(z, dtype=complex)
     rho = np.abs(z_arr)
     slack = 1e-12 * max(1.0, m.R)
-    if np.any(rho < 1.0 - slack) or np.any(rho > m.R + slack):
+    if not np.all((rho >= 1.0 - slack) & (rho <= m.R + slack)):  # NaN fails
         raise AnnulusDomainError(
             f"|z| outside [1, {m.R}]: range [{rho.min()}, {rho.max()}]"
         )
@@ -204,7 +204,8 @@ def evaluate(m: AnnulusMap, z) -> PolarJet:
 
 def evaluate_rings(m: AnnulusMap, rho, theta) -> PolarJet:
     """evaluate on the polar grid rho_i e^{i theta_j}, shaped
-    rho.shape + theta.shape; rho (scalar or array) must lie in [1, R].
+    rho.shape + theta.shape; rho (scalar or array) must lie in [1, R] and
+    theta be finite.
 
     Each mode is a_n rho^n + b_n rho^-n per radius times e^{i n theta} per
     angle, so h, z h_z and conj(z) h_zbar are each one (radii x modes) @
@@ -214,6 +215,8 @@ def evaluate_rings(m: AnnulusMap, rho, theta) -> PolarJet:
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     _check_radius(m, rho, "[1, R]")
+    if not np.all(np.isfinite(theta)):
+        raise AnnulusDomainError("non-finite angle theta")
     ns, a, b = m.mode_arrays()
     rp = rho[..., None] ** ns
     rm = rho[..., None] ** (-ns)
@@ -242,7 +245,7 @@ def _inner_trace(m: AnnulusMap) -> tuple[int, float, bool]:
     unimodular is _is_unimodular over the (at least 4N + 8) samples."""
     lip = sum(abs(n) * abs(c) for n, c in trace(m, 1.0).items())
     values, proven = _quad.nonvanishing_samples(
-        lambda M: evaluate(m, _quad.ring_grid(1.0, M)).value, lip, m.order)
+        lambda M: evaluate(m, np.exp(1j * _quad.theta_grid(M))).value, lip, m.order)
     args = np.angle(np.append(values, values[0]))
     turns = float(np.sum(np.mod(np.diff(args) + np.pi, 2.0 * np.pi) - np.pi)) / (2 * math.pi)
     degree = int(round(turns)) if proven else 0
@@ -258,7 +261,7 @@ def _trace_is_unimodular(m: AnnulusMap) -> bool:
     """_is_unimodular on the first ring of _inner_trace's sampler, from one
     evaluate: the flag without the doubling search for a proof."""
     M = _quad.first_ring_size(m.order)
-    return _is_unimodular(evaluate(m, _quad.ring_grid(1.0, M)).value)
+    return _is_unimodular(evaluate(m, np.exp(1j * _quad.theta_grid(M))).value)
 
 
 def solve_dirichlet(

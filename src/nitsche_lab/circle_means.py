@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .annulus_core import AnnulusMap, _check_radius, evaluate, is_conformal
+from .annulus_core import AnnulusMap, _check_radius, evaluate_rings, is_conformal
 
 __all__ = [
     "RadialProfile",
@@ -89,9 +89,12 @@ def means_quadrature(m: AnnulusMap, rho: float, M: int) -> QuadratureMean:
     """Uniform M-point trapezoid average of |h|^2 on the circle of radius rho.
 
     Exact (to rounding) once M exceeds the degree of |h|^2, i.e. M >= 4N + 8.
+    ValueError for M < 1.
     """
     _check_radius(m, rho)
-    jet = evaluate(m, _quad.ring_grid(rho, M))
+    if M < 1:
+        raise ValueError(f"means_quadrature needs M >= 1 points, got {M}")
+    jet = evaluate_rings(m, rho, _quad.theta_grid(M))
     value = float(np.mean(np.abs(jet.value) ** 2))
     return QuadratureMean(value=value, exact=M >= _quad.exact_ring_size(m.order))
 
@@ -116,10 +119,10 @@ def energy_quadrature(m: AnnulusMap, rho: float) -> float:
     """Independent 2-D quadrature of the energy: radial Gauss-Legendre x angular
     trapezoid on max(4N + 8, 16) points."""
     _check_radius(m, rho, "(1, R]")
-    M = max(_quad.exact_ring_size(m.order), 16)
+    theta = _quad.theta_grid(max(_quad.exact_ring_size(m.order), 16))
 
     def ring(r: np.ndarray) -> np.ndarray:
-        jet = evaluate(m, _quad.ring_grid(r, M))
+        jet = evaluate_rings(m, r, theta)
         return 2.0 * np.pi * np.mean(jet.grad_norm_sq, axis=1) * r
 
     return _quad.radial_integral(ring, 1.0, rho)
@@ -147,7 +150,7 @@ def operator_L(m: AnnulusMap, rho: float, M: int | None = None) -> tuple[float, 
     L2 = float((s / rho**3) * (3.0 * rho**2 * V1 + rho**3 * V2))
 
     M = max(M or 0, _quad.exact_ring_size(m.order), 16)
-    jet = evaluate(m, _quad.ring_grid(rho, M))
+    jet = evaluate_rings(m, rho, _quad.theta_grid(M))
     sq_rho = np.abs(jet.d_rho) ** 2
     sq_theta = np.abs(jet.d_theta) ** 2
     habs2_rho = 2.0 * (np.conj(jet.value) * jet.d_rho).real

@@ -280,7 +280,7 @@ def disk_area_quadrature(f: DiskMap) -> float:
     neg = ns < 0
 
     def ring(r: np.ndarray) -> np.ndarray:
-        z = _quad.ring_grid(r, M)
+        z = np.multiply.outer(r, np.exp(1j * _quad.theta_grid(M)))
         f_z = np.zeros_like(z)
         f_zb = np.zeros_like(z)
         for n, cn in zip(ns[pos], c[pos]):

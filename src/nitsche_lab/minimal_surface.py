@@ -288,7 +288,9 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
     unless such a zero lies near it.  Both paths are evaluated by
     evaluate_rings.  The known even-order zeros of phi are
     divided out first, so the branch passes through them.  w comes from
-    dw = 2 Re(w_z dz).  Raises NoLiftError on an odd-order zero of phi and
+    dw = 2 Re(w_z dz).  A flat map (phi identically 0: h holomorphic or
+    antiholomorphic) takes the same path, with w and sqrt(phi) 0 and flat
+    set.  Raises NoLiftError on an odd-order zero of phi and
     BranchError if the branch turns by more than MAX_TURN between two path
     nodes, or if the branch or the lift fails to close around the annulus
     (loop defect above 1e-8 relative), and ValueError for n_rho < 2 or
@@ -307,25 +309,11 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
         raise NoLiftError(f"odd-order zeros of phi in the annulus: {bad}")
 
     roots = _factor_roots(m)
-    if roots is None:
-        shape = (n_rho, n_theta)
-        jet = evaluate_rings(m, rho_grid, theta_grid)
-        return MinimalLift(
-            base=m,
-            rho_grid=rho_grid,
-            theta_grid=theta_grid,
-            w=np.zeros(shape),
-            sqrt_phi=np.zeros(shape, dtype=complex),
-            mu=_dilatation(jet.d_z, jet.d_zbar),
-            conformality_residual=0.0,
-            loop_residual=0.0,
-            flat=True,
-        )
-
+    flat = roots is None
     # zeros z0 of phi off the annulus, where sqrt(phi) may branch: on the
     # circle at theta = arg z0 - i log|z0| (and 2 pi either side), on a ray
     # at t = log|z0| + i (the ray's angle to z0)
-    off = roots[(roots != 0) & ~_on_annulus(roots, m.R)]
+    off = np.empty(0) if flat else roots[(roots != 0) & ~_on_annulus(roots, m.R)]
     arg, log_r = np.mod(np.angle(off), 2.0 * np.pi), np.log(np.abs(off))
     on_circle = np.concatenate([arg - 2.0 * np.pi, arg, arg + 2.0 * np.pi]) - 1j * np.tile(log_r, 3)
     to_ray = np.abs(np.angle(np.exp(1j * np.subtract.outer(arg, theta_grid))))
@@ -369,7 +357,7 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
         mu=_dilatation(d_z, d_zbar),
         conformality_residual=residual / max(scale, 1e-300),
         loop_residual=loop_residual,
-        flat=False,
+        flat=flat,
     )
 
 

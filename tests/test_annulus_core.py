@@ -18,6 +18,7 @@ from nitsche_lab import (
     random_annulus_map,
     read_ahm,
     rotate,
+    second_dilatation,
     solve_dirichlet,
     trace,
     write_ahm,
@@ -202,6 +203,16 @@ def test_domain_and_validation_errors():
             AnnulusMap(R=R)
 
 
+def test_nan_points_and_angles_are_refused():
+    m = AnnulusMap(R=2.0, terms={1: (1.0, 0.2)})
+    nan = math.nan
+    for call in (lambda: evaluate(m, complex(nan)), lambda: evaluate(m, 1.5 + nan * 1j),
+                 lambda: second_dilatation(m, nan), lambda: evaluate_rings(m, 1.5, nan),
+                 lambda: evaluate_rings(m, 1.5, math.inf)):
+        with pytest.raises(AnnulusDomainError):
+            call()
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_maps())
 def test_ahm_round_trip(m):
@@ -239,14 +250,6 @@ def test_random_map_is_seeded():
     a = random_annulus_map(np.random.default_rng(5))
     b = random_annulus_map(np.random.default_rng(5))
     assert dict(a.terms) == dict(b.terms) and a.log_a0 == b.log_a0
-
-
-def test_ring_grid_is_the_hand_written_grid():
-    eith = np.exp(1j * _quad.theta_grid(12))
-    r = np.array([1.0, 1.3, 1.7])
-    assert np.array_equal(_quad.ring_grid(r, 12), r[:, None] * eith[None, :])
-    assert np.array_equal(_quad.ring_grid(1.3, 12), 1.3 * eith)
-    assert np.array_equal(_quad.ring_grid(1.0, 12), eith)
 
 
 def test_gauss_legendre_panels_reuse_cached_nodes():

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from nitsche_lab import _quad
 from nitsche_lab import (
     AnnulusMap,
     energy_green,
     energy_quadrature,
+    evaluate,
     initial_speed,
     means_closed_form,
     means_quadrature,
@@ -49,6 +51,41 @@ def test_closed_form_matches_quadrature(rng):
 def test_quadrature_exactness_flag(critical):
     assert not means_quadrature(critical, 1.5, M=8).exact
     assert means_quadrature(critical, 1.5, M=16).exact
+
+
+def test_means_quadrature_refuses_empty_rings(critical):
+    for M in (0, -3):
+        with pytest.raises(ValueError):
+            means_quadrature(critical, 1.5, M=M)
+
+
+@pytest.mark.parametrize("n_max", [1, 8, 40])
+def test_ring_route_matches_evaluate_at_ring_points(n_max):
+    """Oracle for the evaluate_rings route: the same trapezoids over evaluate
+    at explicit points r e^{i theta}."""
+    m = random_annulus_map(np.random.default_rng(n_max), n_max=n_max, R=2.0, log_scale=0.3)
+    M = max(_quad.exact_ring_size(m.order), 16)
+    eith = np.exp(1j * _quad.theta_grid(M))
+
+    def l3_integrand(jet, rho):  # operator_L's L3 integrand, written out again
+        s = rho * rho + 1.0
+        return (2.0 * np.abs(jet.d_rho) ** 2 + 2.0 * np.abs(jet.d_theta) ** 2 / rho**2
+                - 2.0 * (rho * rho - 1.0) / (rho * s) * 2.0 * (np.conj(jet.value) * jet.d_rho).real
+                - 8.0 * np.abs(jet.value) ** 2 / s**2)
+
+    def ring_energy(r):
+        jet = evaluate(m, np.multiply.outer(r, eith))
+        return 2.0 * np.pi * np.mean(jet.grad_norm_sq, axis=1) * r
+
+    for rho in (1.0, 1.37, 0.99 * m.R):
+        jet = evaluate(m, rho * eith)
+        U = float(np.mean(np.abs(jet.value) ** 2))
+        assert abs(means_quadrature(m, rho, M).value - U) <= 1e-13 * U
+        L3 = float(np.mean(l3_integrand(jet, rho)))
+        assert abs(operator_L(m, rho)[2] - L3) <= 1e-13 * max(1.0, abs(L3))
+        if rho > 1.0:
+            e = _quad.radial_integral(ring_energy, 1.0, rho)
+            assert abs(energy_quadrature(m, rho) - e) <= 1e-13 * e
 
 
 def test_initial_speed_is_v():

@@ -148,7 +148,7 @@ def test_rhs_matches_two_scalar_integrals(sigma):
         M = 4 * m.order + 16
 
         def ring_mean(r, k):  # k = 0: mean |G1|^2, k = 1: mean |G2|^2
-            z = _quad.ring_grid(r, M)
+            z = np.multiply.outer(r, np.exp(1j * _quad.theta_grid(M)))
             return np.mean(_g_derivative_moduli(evaluate(m, z), np.abs(z))[k], axis=1)
 
         i1 = _quad.radial_integral(

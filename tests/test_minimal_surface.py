@@ -11,12 +11,14 @@ from nitsche_lab import (
     BranchError,
     NoLiftError,
     catenoid_modulus,
+    evaluate_rings,
     lift,
     modulus_bound_check,
     minimal_surface,
     phi_zeros,
     second_dilatation,
 )
+from nitsche_lab.minimal_surface import _dilatation
 from nitsche_lab.nitsche_family import NitscheParams, nitsche_map
 
 
@@ -231,10 +233,21 @@ def test_lift_width_and_gauge(critical):
 
 
 def test_holomorphic_map_lifts_flat(identity_map):
-    res = lift(identity_map)
-    assert res.flat
-    assert np.max(np.abs(res.w)) == 0.0
-    assert res.conformality_residual == 0.0
+    # phi = 0 for h = z, conj(z)^-1, a constant, and a conformal table with
+    # negative modes; mu is the dilatation of the jet on the lift's grid
+    flat_maps = [
+        identity_map,
+        AnnulusMap(R=3.0, terms={-1: (0.0, 1.0)}),
+        AnnulusMap(R=2.0, log_b0=0.7 - 0.2j),
+        AnnulusMap(R=2.5, terms={-2: (0.1j, 0.0), -1: (0.3, 0.0), 1: (1.0, 0.0), 2: (0.2, 0.0)}),
+    ]
+    for m in flat_maps:
+        res = lift(m)
+        assert res.flat
+        assert np.max(np.abs(res.w)) == 0.0 and np.max(np.abs(res.sqrt_phi)) == 0.0
+        assert res.conformality_residual == 0.0 and res.loop_residual == 0.0
+        jet = evaluate_rings(m, res.rho_grid, res.theta_grid)
+        assert np.array_equal(res.mu, _dilatation(jet.d_z, jet.d_zbar), equal_nan=True)
 
 
 def test_second_dilatation_of_critical_map(critical):
