@@ -170,6 +170,20 @@ def _polar_jet(value, z_hz, zb_hzb, rho, eit, scalar: bool) -> PolarJet:
     return PolarJet(value, d_rho, d_theta, d_z, d_zbar, jac, grad)
 
 
+def _ring_modes(m: AnnulusMap, rho):
+    """Modes of a table on the circles |z| = rho (any shape), each on a new
+    last axis in mode_arrays() order: (h0, H, ZH, ZBH) with h0 = a0 log rho
+    + b0, H = a_n rho^n + b_n rho^-n the modes of h, ZH = n a_n rho^n those of
+    z h_z and ZBH = -n b_n rho^-n those of conj(z) h_zbar; mode 0 of both
+    derivatives is a0/2.  The one place these modes are formed; only
+    circle_means._mode_sums, the independent route to U, has its own."""
+    ns, a, b = m.mode_arrays()
+    r = np.asarray(rho, dtype=float)
+    A = a * r[..., None] ** ns
+    B = b * r[..., None] ** (-ns)
+    return m.log_a0 * np.log(r) + m.log_b0, A + B, ns * A, -ns * B
+
+
 def evaluate(m: AnnulusMap, z) -> PolarJet:
     """Evaluate h and its polar/Wirtinger derivatives at z (scalar or array).
 
@@ -183,22 +197,11 @@ def evaluate(m: AnnulusMap, z) -> PolarJet:
             f"|z| outside [1, {m.R}]: range [{rho.min()}, {rho.max()}]"
         )
     theta = np.angle(z_arr)
-    ns, a, b = m.mode_arrays()
-
-    value = m.log_a0 * np.log(rho) + m.log_b0
-    # z h_z = a0/2 + sum n a_n z^n, conj(z) h_zbar = a0/2 - sum n b_n conj(z)^-n
-    z_hz = np.full_like(z_arr, m.log_a0 / 2.0)
-    zb_hzb = z_hz.copy()
-    if ns.size:
-        # shape (k, ...) broadcasting modes against the point grid
-        sh = (-1,) + (1,) * rho.ndim
-        nsb, ab, bb = ns.reshape(sh), a.reshape(sh), b.reshape(sh)
-        rp = rho[None, ...] ** nsb
-        rm = rho[None, ...] ** (-nsb)
-        ph = np.exp(1j * np.multiply.outer(ns, theta))
-        value = value + np.sum((ab * rp + bb * rm) * ph, axis=0)
-        z_hz = z_hz + np.sum(nsb * ab * rp * ph, axis=0)
-        zb_hzb = zb_hzb - np.sum(nsb * bb * rm * ph, axis=0)
+    h0, H, ZH, ZBH = _ring_modes(m, rho)
+    ph = np.exp(1j * np.multiply.outer(theta, m.mode_arrays()[0]))
+    value = h0 + np.einsum("...k,...k->...", H, ph)
+    z_hz = m.log_a0 / 2.0 + np.einsum("...k,...k->...", ZH, ph)
+    zb_hzb = m.log_a0 / 2.0 + np.einsum("...k,...k->...", ZBH, ph)
     return _polar_jet(value, z_hz, zb_hzb, rho, np.exp(1j * theta), z_arr.ndim == 0)
 
 
@@ -207,7 +210,7 @@ def evaluate_rings(m: AnnulusMap, rho, theta) -> PolarJet:
     rho.shape + theta.shape; rho (scalar or array) must lie in [1, R] and
     theta be finite.
 
-    Each mode is a_n rho^n + b_n rho^-n per radius times e^{i n theta} per
+    Each mode is a _ring_modes column per radius times e^{i n theta} per
     angle, so h, z h_z and conj(z) h_zbar are each one (radii x modes) @
     (modes x angles) product instead of a sum over a (modes x radii x angles)
     table.
@@ -217,14 +220,12 @@ def evaluate_rings(m: AnnulusMap, rho, theta) -> PolarJet:
     _check_radius(m, rho, "[1, R]")
     if not np.all(np.isfinite(theta)):
         raise AnnulusDomainError("non-finite angle theta")
-    ns, a, b = m.mode_arrays()
-    rp = rho[..., None] ** ns
-    rm = rho[..., None] ** (-ns)
-    ph = np.exp(1j * np.multiply.outer(ns, theta))
+    h0, H, ZH, ZBH = _ring_modes(m, rho)
+    ph = np.exp(1j * np.multiply.outer(m.mode_arrays()[0], theta))
     r = rho.reshape(rho.shape + (1,) * theta.ndim)  # broadcasts over the angles
-    value = np.tensordot(a * rp + b * rm, ph, 1) + (m.log_a0 * np.log(r) + m.log_b0)
-    z_hz = np.tensordot(ns * a * rp, ph, 1) + m.log_a0 / 2.0
-    zb_hzb = m.log_a0 / 2.0 - np.tensordot(ns * b * rm, ph, 1)
+    value = np.tensordot(H, ph, 1) + np.reshape(h0, r.shape)
+    z_hz = np.tensordot(ZH, ph, 1) + m.log_a0 / 2.0
+    zb_hzb = m.log_a0 / 2.0 + np.tensordot(ZBH, ph, 1)
     return _polar_jet(value, z_hz, zb_hzb, r, np.exp(1j * theta),
                       rho.ndim == 0 and theta.ndim == 0)
 
@@ -232,18 +233,17 @@ def evaluate_rings(m: AnnulusMap, rho, theta) -> PolarJet:
 def trace(m: AnnulusMap, rho: float) -> dict[int, complex]:
     """Fourier coefficients of theta -> h(rho e^{i theta})."""
     _check_radius(m, rho, "[1, R]")
-    out: dict[int, complex] = {0: m.log_a0 * math.log(rho) + m.log_b0}
-    for n, (a, b) in m.terms.items():
-        out[n] = a * rho**n + b * rho ** (-n)
-    return out
+    h0, H, _, _ = _ring_modes(m, rho)
+    return {0: complex(h0), **dict(zip(m.mode_arrays()[0].tolist(), H.tolist()))}
 
 
 def _inner_trace(m: AnnulusMap) -> tuple[int, float, bool]:
     """(degree, min |h|, unimodular) of theta -> h(e^{i theta}) on the samples
-    of _quad.nonvanishing_samples, |h'| <= sum |n||c_n|.  The degree sums the
+    of _quad.nonvanishing_samples, |h'| <= sum |n c_n|.  The degree sums the
     argument increments if h is proven nonvanishing and is 0 if undecided;
     unimodular is _is_unimodular over the (at least 4N + 8) samples."""
-    lip = sum(abs(n) * abs(c) for n, c in trace(m, 1.0).items())
+    _, _, ZH, ZBH = _ring_modes(m, 1.0)
+    lip = float(np.sum(np.abs(ZH - ZBH)))  # n c_n = ZH - ZBH on |z| = 1
     values, proven = _quad.nonvanishing_samples(
         lambda M: evaluate(m, np.exp(1j * _quad.theta_grid(M))).value, lip, m.order)
     args = np.angle(np.append(values, values[0]))

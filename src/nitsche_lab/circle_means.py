@@ -33,30 +33,31 @@ __all__ = [
 def _mode_sums(m: AnnulusMap, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(U, U_dot, U_ddot) at rho (scalar or array), termwise closed forms.
 
-    Per mode n: |a rho^n + b rho^-n|^2 = |a|^2 rho^2n + |b|^2 rho^-2n
-    + 2 Re(a conj(b)); the cross term is rho-free.  The log/constant pair
-    contributes |a0 log rho + b0|^2.  A sum beyond the float64 range raises
+    Per mode n, U gets |a rho^n + b rho^-n|^2, a square so that U >= 0 even
+    where the trace nearly vanishes; the cross term 2 Re(a conj(b)) of its
+    expansion is rho-free, so U_dot and U_ddot read |a|^2 rho^2n and
+    |b|^2 rho^-2n alone.  The log/constant pair contributes
+    |a0 log rho + b0|^2.  A sum beyond the float64 range raises
     FloatingPointError instead of returning inf.
     """
     rho = np.asarray(rho, dtype=float)
     ns, a, b = m.mode_arrays()
     sh = (-1,) + (1,) * rho.ndim
     lg = np.log(rho)
-    aa, bb = abs(m.log_a0) ** 2, abs(m.log_b0) ** 2
+    aa = abs(m.log_a0) ** 2
     ab = (m.log_a0 * m.log_b0.conjugate()).real
-    U = aa * lg**2 + 2.0 * ab * lg + bb
+    U = np.abs(m.log_a0 * lg + m.log_b0) ** 2
     U_dot = (2.0 * aa * lg + 2.0 * ab) / rho
     U_ddot = (2.0 * aa - 2.0 * aa * lg - 2.0 * ab) / rho**2
     if ns.size:
         n2 = (2 * ns).reshape(sh)
         nsb = ns.reshape(sh)
-        cross = 2.0 * (a * b.conjugate()).real.reshape(sh)
-        # half-power form (|a| rho^n)^2 keeps 0 * rho^n = 0 even when
+        # half-power form |a rho^n|^2 keeps 0 * rho^n = 0 even when
         # rho^{2n} alone would overflow
-        sa = (np.abs(a).reshape(sh)) * rho[None, ...] ** nsb
-        sb = (np.abs(b).reshape(sh)) * rho[None, ...] ** (-nsb)
-        pa, pb = sa * sa, sb * sb
-        U = U + np.sum(pa + pb + cross, axis=0)
+        A = a.reshape(sh) * rho[None, ...] ** nsb
+        B = b.reshape(sh) * rho[None, ...] ** (-nsb)
+        U = U + np.sum(np.abs(A + B) ** 2, axis=0)
+        pa, pb = np.abs(A) ** 2, np.abs(B) ** 2
         U_dot = U_dot + np.sum(n2 * (pa - pb), axis=0) / rho
         U_ddot = (
             U_ddot + np.sum(n2 * (n2 - 1) * pa + n2 * (n2 + 1) * pb, axis=0) / rho**2

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _quad
 from .annulus_core import (
-    AnnulusMap, _check_radius, _inner_trace, evaluate)
+    AnnulusMap, _check_radius, _inner_trace, _ring_modes, evaluate)
 from .circle_means import _mode_sums
 from .nitsche_family import bound_margin
 from .quadratic_forms import circle_functionals
@@ -70,17 +70,17 @@ def g_substitute(m: AnnulusMap, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _g_modes(m: AnnulusMap, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fourier coefficients of theta -> G1, G2 on the circles rho, shape
-    rho.shape + (modes,), the log/constant mode first.  With h_n = a_n rho^n
-    + b_n rho^-n (h_0 = a0 log rho + b0) and s = 1 + rho^2, the modes of
-    rho h_rho -+ i h_theta are a0, 2n a_n rho^n and a0, -2n b_n rho^-n."""
-    ns, a, b = m.mode_arrays()
+    rho.shape + (modes,), the log/constant mode first.  With s = 1 + rho^2
+    and the _ring_modes of h, rho h_rho -+ i h_theta are 2 z h_z and
+    2 conj(z) h_zbar (modes a0/2, ZH and a0/2, ZBH), so their terms are
+    z h_z / (s/2) and conj(z) h_zbar / (s/2)."""
+    h0, H, ZH, ZBH = _ring_modes(m, rho)
     r = np.asarray(rho, dtype=float)[..., None]
     s = 1.0 + r * r
-    A, B = a * r**ns, b * r ** (-ns)
-    a0 = np.broadcast_to(m.log_a0, r.shape)
-    h = np.concatenate((m.log_a0 * np.log(r) + m.log_b0, A + B), axis=-1)
-    G1 = np.concatenate((a0, 2 * ns * A), axis=-1) / s - 2.0 * r * r * h / s**2
-    G2 = np.concatenate((a0, -2 * ns * B), axis=-1) / s + 2.0 * h / s**2
+    half_a0 = np.broadcast_to(m.log_a0 / 2.0, r.shape)
+    h = np.concatenate((h0[..., None], H), axis=-1)
+    G1 = np.concatenate((half_a0, ZH), axis=-1) / (s / 2.0) - 2.0 * r * r * h / s**2
+    G2 = np.concatenate((half_a0, ZBH), axis=-1) / (s / 2.0) + 2.0 * h / s**2
     return G1, G2
 
 
@@ -109,12 +109,11 @@ def identity_lhs(m: AnnulusMap, R_eval: float) -> tuple[float, tuple[float, floa
     _check_radius(m, R_eval, "(1, R]", "R_eval")
     s2 = R_eval * R_eval
     U_R, _, _ = _mode_sums(m, R_eval)
-    U_1, Ud_1, _ = _mode_sums(m, 1.0)
-    W = circle_functionals(m, 1.0).winding_form
+    f = circle_functionals(m, 1.0)
     t1 = 2.0 * s2 / (s2 + 1.0) * float(U_R)
-    t2 = -(s2 + 1.0) / 2.0 * float(U_1)
-    t3 = -(s2 - 1.0) * float(Ud_1) / 2.0
-    t4 = -(s2 - 1.0) * math.log(R_eval) * (W - float(U_1))
+    t2 = -(s2 + 1.0) / 2.0 * f.U
+    t3 = -(s2 - 1.0) * f.half_dU_at_1
+    t4 = -(s2 - 1.0) * math.log(R_eval) * (f.winding_form - f.U)
     return t1 + t2 + t3 + t4, (t1, t2, t3, t4)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .annulus_core import AnnulusMap, evaluate, evaluate_rings
+from .annulus_core import AnnulusMap, _ring_modes, evaluate, evaluate_rings
 
 __all__ = [
     "MinimalLift",
@@ -60,18 +60,18 @@ def _laurent_factors(m: AnnulusMap) -> tuple[np.ndarray, np.ndarray]:
     """Laurent coefficient arrays of h_z and conj(h_zbar) as functions of z.
 
     Both factors have exponents in [-(N+1), N-1]; returned arrays are indexed
-    by exponent + (N+1).
+    by exponent + (N+1).  z h_z and conj(conj(z) h_zbar) have the _ring_modes
+    ZH and conj(ZBH) at rho = 1 as their coefficients of z^n and z^-n;
+    dividing by z shifts them down one exponent.
     """
+    ns, _, _ = m.mode_arrays()
+    _, _, ZH, ZBH = _ring_modes(m, 1.0)
     N = max(m.order, 1)
-    size = 2 * N + 1
-    P = np.zeros(size, dtype=complex)  # h_z
-    Q = np.zeros(size, dtype=complex)  # conj(h_zbar)
-    off = N + 1
-    P[off - 1] += m.log_a0 / 2.0  # exponent -1
-    Q[off - 1] += m.log_a0.conjugate() / 2.0
-    for n, (a, b) in m.terms.items():
-        P[off + n - 1] += n * a  # n a_n z^{n-1}
-        Q[off - n - 1] += -n * b.conjugate()  # -n conj(b_n) z^{-n-1}
+    P = np.zeros(2 * N + 1, dtype=complex)  # h_z
+    Q = np.zeros(2 * N + 1, dtype=complex)  # conj(h_zbar)
+    P[N], Q[N] = m.log_a0 / 2.0, m.log_a0.conjugate() / 2.0  # exponent -1
+    P[N + ns] = ZH
+    Q[N - ns] = np.conj(ZBH)
     return P, Q
 
 

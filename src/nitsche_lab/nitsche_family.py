@@ -216,14 +216,14 @@ def check_initial_conditions(m: AnnulusMap) -> InitialConditions:
     (III) closed-form mean Jacobian over the unit circle >= 0, slack 1e-12 each.
     """
     winding, min_mod, _ = _inner_trace(m)
-    _, u_dot_1, _ = _mode_sums(m, 1.0)
-    mean_jac = circle_functionals(m, 1.0).mean_jacobian
+    f = circle_functionals(m, 1.0)
+    u_dot_1 = 2.0 * f.half_dU_at_1
     return InitialConditions(
         I=winding == 1,
-        II=bool(u_dot_1 >= -1e-12),
-        III=mean_jac >= -1e-12,
+        II=u_dot_1 >= -1e-12,
+        III=f.mean_jacobian >= -1e-12,
         winding=winding,
         min_modulus=min_mod,
-        u_dot_at_1=float(u_dot_1),
-        mean_jacobian_at_1=mean_jac,
+        u_dot_at_1=u_dot_1,
+        mean_jacobian_at_1=f.mean_jacobian,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annulus_core import (
-    AnnulusDomainError, AnnulusMap, _check_radius, _trace_is_unimodular)
+    AnnulusDomainError, AnnulusMap, _check_radius, _ring_modes, _trace_is_unimodular)
 from .circle_means import _mode_sums
 
 __all__ = [
@@ -57,16 +57,14 @@ def circle_functionals(m: AnnulusMap, rho: float) -> CircleFunctionals:
     """Evaluate all six functionals at radius rho, exact finite sums."""
     _check_radius(m, rho)
     ns, a, b = m.mode_arrays()
-    U, _, _ = _mode_sums(m, rho)
-    pa = np.abs(a) ** 2
-    pb = np.abs(b) ** 2
-    psum = np.abs(a + b) ** 2
-    half_dU = (m.log_a0 * m.log_b0.conjugate()).real + float(np.sum(ns * (pa - pb)))
+    U, U_dot, _ = _mode_sums(m, np.array([rho, 1.0]))
+    psum = np.abs(_ring_modes(m, 1.0)[1]) ** 2  # |c_n|^2, c_n = a_n + b_n
+    pdiff = np.abs(a) ** 2 - np.abs(b) ** 2
     return CircleFunctionals(
-        U=float(U),
-        half_dU_at_1=float(half_dU),
+        U=float(U[0]),
+        half_dU_at_1=float(U_dot[1] / 2.0),
         winding_form=float(np.sum(ns * psum)),
-        mean_jacobian=float(np.sum(ns.astype(float) ** 2 * (pa - pb))),
+        mean_jacobian=float(np.sum(ns.astype(float) ** 2 * pdiff)),
         boundary_det_Df=float(np.sum(ns * np.abs(ns) * psum)),
         disk_energy=float(2.0 * math.pi * np.sum(np.abs(ns) * psum)),
     )

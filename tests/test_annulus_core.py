@@ -126,6 +126,28 @@ def test_polar_wirtinger_consistency(m, theta):
     assert abs(jet.grad_norm_sq - 2.0 * (abs(jet.d_z) ** 2 + abs(jet.d_zbar) ** 2)) <= 1e-12 * scale**2
 
 
+@pytest.mark.parametrize("n_max", [1, 8, 12, 40])
+def test_wirtinger_derivatives_match_central_differences(n_max):
+    # an oracle outside the mode formulas: h_z = (h_x - i h_y)/2 and
+    # h_zbar = (h_x + i h_y)/2 from central differences of the value alone
+    rng = np.random.default_rng(300 + n_max)
+    m = random_annulus_map(rng, n_max=n_max, R=2.0, log_scale=0.5)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 7)
+    step = 1e-6
+
+    def h(w):
+        return evaluate(m, w).value
+
+    for rho in (1.001, 1.5, 1.999):
+        z = rho * np.exp(1j * theta)
+        h_x = (h(z + step) - h(z - step)) / (2.0 * step)
+        h_y = (h(z + 1j * step) - h(z - 1j * step)) / (2.0 * step)
+        for jet in (evaluate(m, z), evaluate_rings(m, rho, theta)):
+            scale = np.max(np.abs(jet.d_z) + np.abs(jet.d_zbar))
+            assert np.max(np.abs(jet.d_z - 0.5 * (h_x - 1j * h_y))) <= 1e-8 * scale
+            assert np.max(np.abs(jet.d_zbar - 0.5 * (h_x + 1j * h_y))) <= 1e-8 * scale
+
+
 def test_five_point_laplacian_vanishes(rng):
     m = random_annulus_map(rng, n_max=5, R=2.0, log_scale=0.5)
     z = 1.4 * np.exp(1.1j)
@@ -138,6 +160,30 @@ def test_five_point_laplacian_vanishes(rng):
         - 4.0 * evaluate(m, z).value
     )
     assert abs(stencil) / h**2 <= 1e-5
+
+
+def _trace_loop(m, rho):
+    # term-by-term oracle of trace: one coefficient per stored mode
+    out = {0: m.log_a0 * math.log(rho) + m.log_b0}
+    for n, (a, b) in m.terms.items():
+        out[n] = a * rho**n + b * rho ** (-n)
+    return out
+
+
+@pytest.mark.parametrize("log_scale", [0.0, 0.5])
+@pytest.mark.parametrize("n_max", [1, 8, 40])
+def test_trace_matches_the_term_loop(n_max, log_scale):
+    m = random_annulus_map(np.random.default_rng(n_max), n_max=n_max, R=2.5,
+                           log_scale=log_scale)
+    for rho in (1.0, 1.7, m.R):
+        got, want = trace(m, rho), _trace_loop(m, rho)
+        # mode 0 first, kept when h0 = 0, then ascending n
+        assert list(got) == [0] + sorted(m.terms)
+        assert all(type(c) is complex for c in got.values())
+        sizes = {n: abs(a) * rho**n + abs(b) * rho ** (-n) for n, (a, b) in m.terms.items()}
+        sizes[0] = abs(m.log_a0) * math.log(rho) + abs(m.log_b0)
+        for n, size in sizes.items():
+            assert abs(got[n] - want[n]) <= 1e-15 * size
 
 
 def test_trace_coefficients(critical):

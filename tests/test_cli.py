@@ -9,6 +9,7 @@ import pytest
 from nitsche_lab import AnnulusMap, cli, means_closed_form, random_annulus_map, write_ahm
 from nitsche_lab import checks
 from nitsche_lab.cli import main
+from nitsche_lab.minimal_surface import lift
 
 
 def write_map(path, m):
@@ -240,6 +241,27 @@ def test_overflow_exits_3_with_one_line(tmp_path, capsys):
         captured = capsys.readouterr()
         assert not caught and "," not in captured.out
         assert captured.err.startswith("domain error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vanishing_trace_means_and_radii_ratio(n, tmp_path, capsys, monkeypatch):
+    # h = c (z^n - conj(z)^-n) vanishes on the unit circle: U(1) = 0
+    c = -196.52157865247068 - 1613.1842427449333j
+    p = tmp_path / "vanishing.ahm"
+    write_map(p, AnnulusMap(R=2.0, terms={n: (c, -c)}))
+    assert main(["means", "--map", str(p), "--rho-grid", "1:1.5:3"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert "nan" not in "".join(lines)
+    first = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+    assert first["U"] == 0.0 and first["margin"] == -1.0
+    # the family has no single-valued lift; given one, the radii ratio
+    # U(R)/U(1) it reports is undefined, a domain error
+    out = str(tmp_path / "s.csv")
+    assert main(["minsurf", "--map", str(p), "--out", out]) == 5
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "lift", lambda m: lift(AnnulusMap(R=2.0, terms={1: (1.0, 0.0)})))
+    assert main(["minsurf", "--map", str(p), "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("domain error:")
 
 
 def test_means_routes_agree_from_the_inner_circle(tmp_path, capsys):

@@ -16,6 +16,7 @@ from nitsche_lab import (
     modulus_bound_check,
     minimal_surface,
     phi_zeros,
+    random_annulus_map,
     second_dilatation,
 )
 from nitsche_lab.minimal_surface import _dilatation
@@ -39,6 +40,34 @@ def _march_branch_loop(phi_vals, start):
         live = np.abs(row) > 0
         prev_row[live] = row[live]
     return out
+
+
+def _laurent_factors_loop(m):
+    # per-term oracle of minimal_surface._laurent_factors: n a_n z^{n-1} into
+    # h_z and -n conj(b_n) z^{-n-1} into conj(h_zbar), indexed by exponent + N + 1
+    N = max(m.order, 1)
+    P = np.zeros(2 * N + 1, dtype=complex)
+    Q = np.zeros(2 * N + 1, dtype=complex)
+    off = N + 1
+    P[off - 1] += m.log_a0 / 2.0
+    Q[off - 1] += m.log_a0.conjugate() / 2.0
+    for n, (a, b) in m.terms.items():
+        P[off + n - 1] += n * a
+        Q[off - n - 1] += -n * b.conjugate()
+    return P, Q
+
+
+@pytest.mark.parametrize("log_scale", [0.0, 0.5])
+@pytest.mark.parametrize("n_max", [1, 8, 40])
+def test_laurent_factors_match_the_term_loop(n_max, log_scale):
+    rng = np.random.default_rng(n_max)
+    maps = [random_annulus_map(rng, n_max=n_max, R=2.0, log_scale=log_scale),
+            AnnulusMap(R=3.0, log_a0=log_scale, terms={n_max: (1.5j, -2.0), -1: (0.0, 0.7)}),
+            AnnulusMap(R=3.0, log_a0=log_scale + 1j)]  # no terms: N = 1
+    for m in maps:
+        for fast, ref in zip(minimal_surface._laurent_factors(m), _laurent_factors_loop(m)):
+            assert fast.shape == ref.shape
+            assert np.max(np.abs(fast - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 MARCH_CASES = ["2d", "1d", "single_row", "zero_entries", "zero_rows",

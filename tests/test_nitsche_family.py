@@ -194,3 +194,18 @@ def test_mean_radii_ratio_is_oriented():
         1.625, rel=1e-15)
     assert mean_radii_ratio(AnnulusMap(R=2.0, terms={1: (0.0, 1.0)})) == pytest.approx(
         2.0, rel=1e-15)
+
+
+# h = c (z^n - conj(z)^-n) vanishes on the unit circle; for this c the
+# expansion |a|^2 + |b|^2 + 2 Re(a conj(b)) of |a + b|^2 cancels to -9.3e-10
+VANISHING_C = -196.52157865247068 - 1613.1842427449333j
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vanishing_trace_has_zero_mean(n):
+    m = AnnulusMap(R=2.0, terms={n: (VANISHING_C, -VANISHING_C)})
+    assert _mode_sums(m, 1.0)[0] == 0.0
+    assert bound_margin(m, 1.0) == -1.0
+    assert np.all(np.isfinite(bound_margin(m, np.linspace(1.0, 2.0, 9))))
+    with pytest.raises(ArithmeticError):  # U(R)/U(1) with U(1) = 0
+        mean_radii_ratio(m)
