@@ -208,24 +208,30 @@ def evaluate(m: AnnulusMap, z) -> PolarJet:
 def evaluate_rings(m: AnnulusMap, rho, theta) -> PolarJet:
     """evaluate on the polar grid rho_i e^{i theta_j}, shaped
     rho.shape + theta.shape; rho (scalar or array) must lie in [1, R] and
-    theta be finite.
-
-    Each mode is a _ring_modes column per radius times e^{i n theta} per
-    angle, so h, z h_z and conj(z) h_zbar are each one (radii x modes) @
-    (modes x angles) product instead of a sum over a (modes x radii x angles)
-    table.
-    """
+    theta be finite."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     _check_radius(m, rho, "[1, R]")
     if not np.all(np.isfinite(theta)):
         raise AnnulusDomainError("non-finite angle theta")
-    h0, H, ZH, ZBH = _ring_modes(m, rho)
-    ph = np.exp(1j * np.multiply.outer(m.mode_arrays()[0], theta))
+    return _rings_jet(_ring_modes(m, rho), m.mode_arrays()[0], m.log_a0 / 2.0, rho, theta)
+
+
+def _rings_jet(modes, ns: np.ndarray, half_a0: complex, rho: np.ndarray,
+               theta: np.ndarray) -> PolarJet:
+    """The jet on the polar grid rho_i e^{i theta_j} from the per-circle modes
+    (h0, H, ZH, ZBH) of exponents ns, as _ring_modes returns them, with
+    half_a0 the mode 0 of both derivatives.  The one ring synthesis of either
+    table kind: each mode is a column per radius times e^{i n theta} per
+    angle, so h, z h_z and conj(z) h_zbar are each one (radii x modes) @
+    (modes x angles) product instead of a sum over a (modes x radii x angles)
+    table."""
+    h0, H, ZH, ZBH = modes
+    ph = np.exp(1j * np.multiply.outer(ns, theta))
     r = rho.reshape(rho.shape + (1,) * theta.ndim)  # broadcasts over the angles
     value = np.tensordot(H, ph, 1) + np.reshape(h0, r.shape)
-    z_hz = np.tensordot(ZH, ph, 1) + m.log_a0 / 2.0
-    zb_hzb = m.log_a0 / 2.0 + np.tensordot(ZBH, ph, 1)
+    z_hz = np.tensordot(ZH, ph, 1) + half_a0
+    zb_hzb = half_a0 + np.tensordot(ZBH, ph, 1)
     return _polar_jet(value, z_hz, zb_hzb, r, np.exp(1j * theta),
                       rho.ndim == 0 and theta.ndim == 0)
 

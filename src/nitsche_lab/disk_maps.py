@@ -16,8 +16,10 @@ Samples on the uniform grid theta_grid(M) are inverse FFTs
 on (theta_i, alpha_j) through zeta_i - zeta_{i-j}, so its double trapezoid is
 one circular correlation of zeta' e^{i zeta} with e^{i zeta}, O(M log M); the
 rounding of that correlation is divided by 1 - cos alpha_j, most at the
-first column.  The dense series _circle_series serves arbitrary angles: the
-split's Gauss-Legendre alpha nodes and scalar theta.
+first column.  A disk table is sampled at arbitrary (r, theta) by _disk_rings,
+on the ring product annulus_core._rings_jet that also samples every annulus
+table.  The dense series _circle_series serves zeta alone at arbitrary
+angles: the split's Gauss-Legendre alpha nodes and scalar theta.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Mapping, TextIO
 import numpy as np
 
 from . import _quad
-from .annulus_core import AnnulusMap, _tokens, trace
+from .annulus_core import AnnulusMap, PolarJet, _rings_jet, _tokens, trace
 
 __all__ = [
     "BoundaryHomeo",
@@ -107,6 +109,8 @@ class BoundaryHomeo:
             if n < 0:
                 raise ValueError("store only n >= 0; negatives are conjugates")
             c = complex(c)
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise ValueError(f"non-finite coefficient at n={n}")
             if n == 0 and abs(c.imag) > 1e-15 * max(1.0, abs(c.real)):
                 raise ValueError("constant coefficient must be real")
             clean[n] = c.real + 0j if n == 0 else c
@@ -187,25 +191,18 @@ class DiskMap:
     def mode_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self._ns, self._c  # type: ignore[attr-defined]
 
-    def eval(self, z) -> np.ndarray:
-        z_arr = np.asarray(z, dtype=complex)
-        ns, c = self.mode_arrays()
-        out = np.zeros_like(z_arr)
-        for n, cn in zip(ns, c):
-            out = out + (cn * z_arr**n if n >= 0 else cn * np.conj(z_arr) ** (-n))
-        return out
 
-    def boundary_trace(self, theta) -> np.ndarray:
-        ns, c = self.mode_arrays()
-        return _circle_series(theta, ns, c)
-
-    def boundary_d_theta(self, theta) -> np.ndarray:
-        ns, c = self.mode_arrays()
-        return _circle_series(theta, ns, 1j * ns * c)
-
-    def boundary_d_rho(self, theta) -> np.ndarray:
-        ns, c = self.mode_arrays()
-        return _circle_series(theta, ns, np.abs(ns) * c)
+def _disk_rings(f: DiskMap, r, theta) -> PolarJet:
+    """The jet of f on the polar grid r_i e^{i theta_j}, r > 0, by the ring
+    product of the annulus tables.  On |z| = r mode n of f is c_n r^|n|, of
+    z f_z it is n c_n r^n (n > 0) and of conj(z) f_zbar |n| c_n r^|n| (n < 0);
+    f has no log mode.  Each mode is a multiple of c_n r^|n|, so no product
+    0 r^-n, which overflows near r = 0, is formed."""
+    ns, c = f.mode_arrays()
+    r = np.asarray(r, dtype=float)
+    C = c * r[..., None] ** np.abs(ns)
+    modes = (np.zeros(r.shape), C, np.maximum(ns, 0) * C, np.maximum(-ns, 0) * C)
+    return _rings_jet(modes, ns, 0.0, r, np.asarray(theta, dtype=float))
 
 
 def poisson_extend(bdry: BoundaryHomeo | AnnulusMap, N: int = 128) -> DiskMap:
@@ -272,25 +269,13 @@ def jacobian_energy_chain(f: DiskMap) -> ChainResult:
 
 
 def disk_area_quadrature(f: DiskMap) -> float:
-    """Independent 2-D quadrature of the signed area integral of det Df,
-    angular trapezoid on max(4N + 8, 32) points."""
-    ns, c = f.mode_arrays()
-    M = max(_quad.exact_ring_size(f.order), 32)
-    pos = ns > 0
-    neg = ns < 0
-
-    def ring(r: np.ndarray) -> np.ndarray:
-        z = np.multiply.outer(r, np.exp(1j * _quad.theta_grid(M)))
-        f_z = np.zeros_like(z)
-        f_zb = np.zeros_like(z)
-        for n, cn in zip(ns[pos], c[pos]):
-            f_z += n * cn * z ** (n - 1)
-        for n, cn in zip(ns[neg], c[neg]):
-            f_zb += (-n) * cn * np.conj(z) ** (-n - 1)
-        det = np.abs(f_z) ** 2 - np.abs(f_zb) ** 2
-        return 2.0 * np.pi * np.mean(det, axis=1) * r
-
-    return _quad.radial_integral(ring, 0.0, 1.0)
+    """Independent 2-D quadrature of the signed area integral of det Df:
+    the Jacobian of _disk_rings, angular trapezoid on max(4N + 8, 32) points
+    of each ring."""
+    theta = _quad.theta_grid(max(_quad.exact_ring_size(f.order), 32))
+    return _quad.radial_integral(
+        lambda r: 2.0 * np.pi * np.mean(_disk_rings(f, r, theta).jacobian, axis=1) * r,
+        0.0, 1.0)
 
 
 def boundary_normal_derivative(
@@ -319,9 +304,8 @@ def boundary_normal_derivative(
 
 def normal_derivative_spectral(f: DiskMap, theta: float) -> float:
     """Oracle for the singular integral: Re(conj(f) f_rho) on the boundary."""
-    return float(
-        (np.conj(f.boundary_trace(theta)) * f.boundary_d_rho(theta)).real
-    )
+    jet = _disk_rings(f, 1.0, theta)
+    return float((np.conj(jet.value) * jet.d_rho).real)
 
 
 def lemma_functional(bdry: BoundaryHomeo, M: int = 512) -> float:
@@ -498,8 +482,8 @@ def read_bhm(fh: TextIO) -> BoundaryHomeo:
             if n < 0 or n in coeffs:
                 raise BhmFormatError(f"index {n} repeated or negative")
             coeffs[n] = complex(float(fields[2]), float(fields[3]))
+        return BoundaryHomeo(zeta_coeffs=coeffs)
     except (IndexError, ValueError) as exc:
         if isinstance(exc, BhmFormatError):
             raise
         raise BhmFormatError(str(exc)) from exc
-    return BoundaryHomeo(zeta_coeffs=coeffs)

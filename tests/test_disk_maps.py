@@ -28,6 +28,7 @@ from nitsche_lab.disk_maps import (
     BhmFormatError,
     NonMonotoneError,
     _circle_series,
+    _disk_rings,
     _one_minus_cos,
     _zeta_difference,
     disk_area_quadrature,
@@ -57,12 +58,88 @@ def _direct_lemma(bdry: BoundaryHomeo, M: int) -> float:
     return float((2.0 * np.pi / M) ** 2 * np.sum(kernel * zp[:, None]))
 
 
+def _eval_by_terms(f: DiskMap, z: np.ndarray) -> np.ndarray:
+    """Oracle for the value of _disk_rings: f(z) term by term, c_n z^n for
+    n >= 0 and c_n conj(z)^|n| for n < 0."""
+    ns, c = f.mode_arrays()
+    out = np.zeros_like(z)
+    for n, cn in zip(ns, c):
+        out = out + (cn * z**n if n >= 0 else cn * np.conj(z) ** (-n))
+    return out
+
+
+def _wirtinger_by_terms(f: DiskMap, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for d_z and d_zbar of _disk_rings: f_z = sum n c_n z^(n-1) over
+    n > 0 and f_zbar = sum |n| c_n conj(z)^(|n|-1) over n < 0, term by term."""
+    ns, c = f.mode_arrays()
+    f_z = np.zeros_like(z)
+    f_zb = np.zeros_like(z)
+    for n, cn in zip(ns[ns > 0], c[ns > 0]):
+        f_z += n * cn * z ** (n - 1)
+    for n, cn in zip(ns[ns < 0], c[ns < 0]):
+        f_zb += (-n) * cn * np.conj(z) ** (-n - 1)
+    return f_z, f_zb
+
+
+def _area_by_terms(f: DiskMap) -> float:
+    """Oracle for disk_area_quadrature: the same radial and angular rules on
+    the Jacobian |f_z|^2 - |f_zbar|^2 of _wirtinger_by_terms."""
+    theta = _quad.theta_grid(max(_quad.exact_ring_size(f.order), 32))
+
+    def ring(r: np.ndarray) -> np.ndarray:
+        f_z, f_zb = _wirtinger_by_terms(f, np.multiply.outer(r, np.exp(1j * theta)))
+        return 2.0 * np.pi * np.mean(np.abs(f_z) ** 2 - np.abs(f_zb) ** 2, axis=1) * r
+
+    return _quad.radial_integral(ring, 0.0, 1.0)
+
+
+def _oracle_disk_maps(rng) -> list[DiskMap]:
+    """Extensions of circle maps at N = 1, 8 and 96, a two-sided extension
+    of an annulus map, and a constant."""
+    maps = [poisson_extend(random_boundary_homeo(rng), N=N) for N in (1, 8, 96)]
+    maps.append(poisson_extend(random_annulus_map(rng, n_max=5)))  # two-sided modes
+    assert min(maps[-1].mode_arrays()[0]) < 0 < max(maps[-1].mode_arrays()[0])
+    return maps + [DiskMap(coeffs={0: 0.3 - 0.7j})]
+
+
+def test_disk_rings_match_termwise_sums(rng):
+    """The ring product against the per-term sums, on radii down to 0.05 and
+    angles off [0, 2pi)."""
+    r = np.array([0.05, 0.5, 1.0])
+    theta = np.array([-1.3, 0.0, 0.9, 2.0, 4.4, 40.0])
+    z = np.multiply.outer(r, np.exp(1j * theta))
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    for f in _oracle_disk_maps(rng):
+        jet = _disk_rings(f, r, theta)
+        f_z, f_zb = _wirtinger_by_terms(f, z)
+        close(jet.value, _eval_by_terms(f, z))
+        close(jet.d_z, f_z)
+        close(jet.d_zbar, f_zb)
+        close(jet.jacobian, np.abs(f_z) ** 2 - np.abs(f_zb) ** 2)
+
+
+def test_disk_area_quadrature_matches_termwise_sums(rng):
+    for f in _oracle_disk_maps(rng):
+        want = _area_by_terms(f)
+        assert abs(disk_area_quadrature(f) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_boundary_homeo_identity():
     b = BoundaryHomeo(zeta_coeffs={})
     theta = np.linspace(0.0, 2.0 * np.pi, 9)
     assert np.allclose(b.xi(theta), theta)
     assert np.allclose(b.xi_prime(theta), 1.0)
     assert b.is_monotone()
+
+
+def test_boundary_homeo_refuses_non_finite():
+    for coeffs in ({1: math.nan}, {2: complex(0.0, math.inf)}, {0: -math.inf}):
+        with pytest.raises(ValueError, match="non-finite"):
+            BoundaryHomeo(zeta_coeffs=coeffs)
 
 
 def test_boundary_homeo_monotonicity_guard():
@@ -79,7 +156,7 @@ def test_poisson_extension_of_annulus_map(critical):
     f = poisson_extend(critical)
     assert abs(f.coeffs[1] - 1.0) <= 1e-15  # c_1 = a_1 + b_1
     z = 0.5 * np.exp(0.3j)
-    assert abs(f.eval(z) - z) <= 1e-15
+    assert abs(_disk_rings(f, 0.5, 0.3).value - z) <= 1e-15
     # a log term does not reach the unit circle: c_0 = b_0
     m = random_annulus_map(np.random.default_rng(2), n_max=3, log_scale=0.5)
     expected = {0: m.log_b0, **{n: a + b for n, (a, b) in m.terms.items()}}
@@ -139,14 +216,11 @@ def test_circle_samples_match_series(rng):
 
 
 def test_chain_boundary_term_matches_direct_trapezoid(rng):
-    """Oracle for the chain's boundary term: the DiskMap boundary series on
+    """Oracle for the chain's boundary term: the ring jet of _disk_rings on
     the same grid."""
-    maps = [poisson_extend(random_boundary_homeo(rng), N=N) for N in (1, 8, 96)]
-    maps.append(poisson_extend(random_annulus_map(rng, n_max=5)))  # two-sided modes
-    assert min(maps[-1].mode_arrays()[0]) < 0 < max(maps[-1].mode_arrays()[0])
-    for f in maps:
-        theta = _quad.theta_grid(max(16 * f.order + 32, 2048))
-        det = (np.conj(f.boundary_d_rho(theta)) * f.boundary_d_theta(theta)).imag
+    for f in _oracle_disk_maps(rng):
+        jet = _disk_rings(f, 1.0, _quad.theta_grid(max(16 * f.order + 32, 2048)))
+        det = (np.conj(jet.d_rho) * jet.d_theta).imag
         want = 2.0 * np.pi * np.mean(np.abs(det))
         got = jacobian_energy_chain(f).boundary_abs_det
         assert abs(got - want) <= 1e-13 * abs(want)
@@ -333,7 +407,8 @@ def test_bhm_round_trip():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "BHM 2\n", "BHM 1\nZ -1 0 0\n", "BHM 1\nZ 1 0 0\nZ 1 1 0\n", "BHM 1\nZ 1 x 0\n"],
+    ["", "BHM 2\n", "BHM 1\nZ -1 0 0\n", "BHM 1\nZ 1 0 0\nZ 1 1 0\n", "BHM 1\nZ 1 x 0\n",
+     "BHM 1\nZ 1 nan 0\n", "BHM 1\nZ 2 0 inf\n", "BHM 1\nZ 0 0.5 0.5\n"],
 )
 def test_bhm_rejects_malformed(text):
     with pytest.raises(BhmFormatError):
