@@ -19,7 +19,9 @@ rounding of that correlation is divided by 1 - cos alpha_j, most at the
 first column.  A disk table is sampled at arbitrary (r, theta) by _disk_rings,
 on the ring product annulus_core._rings_jet that also samples every annulus
 table.  The dense series _circle_series serves zeta alone at arbitrary
-angles: the split's Gauss-Legendre alpha nodes and scalar theta.
+angles: the split's Gauss-Legendre alpha nodes and scalar theta.  Each alpha
+band of the split is one adaptive _quad.radial_integral, which raises
+QuadratureNotConverged when the band is not converged at its panel cap.
 """
 
 from __future__ import annotations
@@ -197,12 +199,14 @@ def _disk_rings(f: DiskMap, r, theta) -> PolarJet:
     product of the annulus tables.  On |z| = r mode n of f is c_n r^|n|, of
     z f_z it is n c_n r^n (n > 0) and of conj(z) f_zbar |n| c_n r^|n| (n < 0);
     f has no log mode.  Each mode is a multiple of c_n r^|n|, so no product
-    0 r^-n, which overflows near r = 0, is formed."""
+    0 r^-n, which overflows near r = 0, is formed.  Refuses non-finite r, theta."""
     ns, c = f.mode_arrays()
-    r = np.asarray(r, dtype=float)
+    r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(theta))):
+        raise ValueError("non-finite radius or angle")
     C = c * r[..., None] ** np.abs(ns)
     modes = (np.zeros(r.shape), C, np.maximum(ns, 0) * C, np.maximum(-ns, 0) * C)
-    return _rings_jet(modes, ns, 0.0, r, np.asarray(theta, dtype=float))
+    return _rings_jet(modes, ns, 0.0, r, theta)
 
 
 def poisson_extend(bdry: BoundaryHomeo | AnnulusMap, N: int = 128) -> DiskMap:
@@ -288,8 +292,11 @@ def boundary_normal_derivative(
     xi'(theta)^2.  Trapezoid in alpha is spectrally accurate because the
     extended integrand is smooth and periodic.  With c_n = z_n e^{in theta},
     zeta(theta) - zeta(theta - alpha) = 2 Re sum_n c_n (1 - e^{-in alpha}),
-    so the alpha samples are one inverse FFT of the modes -n.
+    so the alpha samples are one inverse FFT of the modes -n.  A non-finite
+    theta is refused.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"non-finite angle theta = {theta}")
     _require_ring_size(bdry, M)
     bdry.require_monotone()
     ns, zn = bdry._ns, bdry._zn  # type: ignore[attr-defined]
@@ -365,9 +372,7 @@ def psi(alpha, beta) -> np.ndarray:
     ) * np.sin(alpha)
 
 
-def lemma_functional_split(
-    bdry: BoundaryHomeo, M: int = 512, panels: int = 32
-) -> SplitResult:
+def lemma_functional_split(bdry: BoundaryHomeo, M: int = 512) -> SplitResult:
     """Recompute the functional piecewise over the cos(alpha) sign regions.
 
     A_plus:  integral of cos(alpha) (1-cos beta)/(1-cos alpha) zeta'(theta)
@@ -375,36 +380,30 @@ def lemma_functional_split(
     minus:   integral of Psi(alpha, beta)/(1-cos alpha)^2 over the band
              pi/2 <= alpha <= 3pi/2
     with beta = zeta(theta) - zeta(theta - alpha).  The theta direction is a
-    periodic trapezoid; each alpha band uses composite Gauss-Legendre (nodes
-    never hit the removable point alpha = 0).
+    periodic trapezoid; each alpha band is one adaptive _quad.radial_integral
+    of the theta means (Gauss-Legendre nodes never hit the removable point
+    alpha = 0), so its panels follow the order of zeta; a band not converged
+    at the panel cap raises QuadratureNotConverged.
     """
     _require_ring_size(bdry, M)
-    if panels < 1:
-        raise ValueError("need at least one Gauss-Legendre panel per band")
     bdry.require_monotone()
     theta = _quad.theta_grid(M)
     zp = bdry._on_grid(M, 1)
 
-    a_nodes, a_wts = _quad.gauss_legendre_panels(-np.pi / 2, np.pi / 2, panels)
-    one_minus_cos_beta = _one_minus_cos(_zeta_difference(bdry, theta, a_nodes))
-    ratio = one_minus_cos_beta / _one_minus_cos(a_nodes)[None, :]
-    theta_mean_Ap = np.mean(ratio * zp[:, None], axis=0)
-    theta_mean_Bp = np.mean(ratio, axis=0)
-    theta_mean_lb = np.mean(one_minus_cos_beta, axis=0)
-    A_plus = float(2.0 * np.pi * np.dot(a_wts, np.cos(a_nodes) * theta_mean_Ap))
-    B_plus = float(2.0 * np.pi * np.dot(a_wts, theta_mean_Bp))
-    plus_lb = float(2.0 * np.pi * np.dot(a_wts, theta_mean_lb))
+    def plus(alpha):  # theta means of the A_plus, B_plus and floor integrands
+        one_minus_cos_beta = _one_minus_cos(_zeta_difference(bdry, theta, alpha))
+        ratio = one_minus_cos_beta / _one_minus_cos(alpha)
+        return np.stack([np.cos(alpha) * np.mean(ratio * zp[:, None], axis=0),
+                         np.mean(ratio, axis=0), np.mean(one_minus_cos_beta, axis=0)], axis=1)
 
-    m_nodes, m_wts = _quad.gauss_legendre_panels(np.pi / 2, 3 * np.pi / 2, panels)
-    beta_m = _zeta_difference(bdry, theta, m_nodes)
-    integrand = psi(m_nodes[None, :], beta_m) / _one_minus_cos(m_nodes)[None, :] ** 2
-    minus = float(2.0 * np.pi * np.dot(m_wts, np.mean(integrand, axis=0)))
-    return SplitResult(
-        A_plus=A_plus,
-        B_plus=B_plus,
-        minus_combined=minus,
-        plus_lower_bound=plus_lb,
-    )
+    def minus(alpha):
+        beta = _zeta_difference(bdry, theta, alpha)
+        return np.mean(psi(alpha, beta) / _one_minus_cos(alpha) ** 2, axis=0)
+
+    tau = 2.0 * np.pi
+    A_plus, B_plus, plus_lb = tau * _quad.radial_integral(plus, -np.pi / 2, np.pi / 2)
+    minus_combined = tau * _quad.radial_integral(minus, np.pi / 2, 3 * np.pi / 2)
+    return SplitResult(float(A_plus), float(B_plus), minus_combined, float(plus_lb))
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,18 @@ def test_normal_derivative_matches_spectral(rng):
         assert abs(singular - spectral) <= 1e-8 * max(1.0, abs(spectral))
 
 
+def test_normal_derivatives_refuse_non_finite_angles():
+    bdry = random_boundary_homeo(np.random.default_rng(0), n_max=4)
+    f = poisson_extend(bdry, N=96)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            boundary_normal_derivative(bdry, theta)
+        with pytest.raises(ValueError):
+            normal_derivative_spectral(f, theta)
+        with pytest.raises(ValueError):
+            _disk_rings(f, np.array([0.5, theta]), 0.0)
+
+
 def test_normal_derivative_matches_pointwise_xi(rng):
     """The inverse-FFT singular integral at the default M = 4096 against the
     same trapezoid with xi(theta) - xi(theta - alpha) formed pointwise,
@@ -301,10 +313,41 @@ def test_split_bookkeeping_matches_functional():
     assert split.minus_combined >= -1e-10
 
 
+def _pointwise_split(bdry: BoundaryHomeo, M: int, panels: int) -> np.ndarray:
+    """Oracle for lemma_functional_split: (A_plus, B_plus, minus_combined,
+    plus_lower_bound) by a fixed composite Gauss-Legendre rule of the given
+    panels per alpha band, with beta = xi(theta) - xi(theta - alpha) - alpha
+    formed pointwise from xi."""
+    theta = _quad.theta_grid(M)
+    zp = bdry.zeta_prime(theta)
+
+    def beta(alpha):
+        return bdry.xi(theta)[:, None] - bdry.xi(theta[:, None] - alpha) - alpha
+
+    a_nodes, a_wts = _quad.gauss_legendre_panels(-np.pi / 2, np.pi / 2, panels)
+    one_minus_cos_beta = _one_minus_cos(beta(a_nodes))
+    ratio = one_minus_cos_beta / _one_minus_cos(a_nodes)
+    m_nodes, m_wts = _quad.gauss_legendre_panels(np.pi / 2, 3 * np.pi / 2, panels)
+    minus = psi(m_nodes, beta(m_nodes)) / _one_minus_cos(m_nodes) ** 2
+    return 2.0 * np.pi * np.array([
+        np.dot(a_wts, np.cos(a_nodes) * np.mean(ratio * zp[:, None], 0)),
+        np.dot(a_wts, np.mean(ratio, 0)),
+        np.dot(m_wts, np.mean(minus, 0)),
+        np.dot(a_wts, np.mean(one_minus_cos_beta, 0)),
+    ])
+
+
+def _split_parts(split) -> np.ndarray:
+    return np.array([split.A_plus, split.B_plus, split.minus_combined,
+                     split.plus_lower_bound])
+
+
 def test_difference_kernel_matches_pointwise_xi(rng):
-    """Oracle for the separable kernel: beta formed pointwise from xi."""
+    """Oracle for the separable kernel: beta formed pointwise from xi.  The
+    split of an order-6 map settles at 4 panels per band, where the 4-panel
+    oracle uses the same nodes."""
     bdry = random_boundary_homeo(rng, n_max=6)
-    M, panels = 64, 4
+    M = 64
     theta = _quad.theta_grid(M)
     zp = bdry.zeta_prime(theta)
 
@@ -320,25 +363,30 @@ def test_difference_kernel_matches_pointwise_xi(rng):
         np.sum(bdry.xi_prime(theta) ** 2 * zp) + np.sum(ratio * zp[:, None]))
     assert close(lemma_functional(bdry, M=M), plain)
 
-    a_nodes, a_wts = _quad.gauss_legendre_panels(-np.pi / 2, np.pi / 2, panels)
-    beta = xi_difference(theta, a_nodes) - a_nodes[None, :]
-    ratio = _one_minus_cos(beta) / _one_minus_cos(a_nodes)[None, :]
-    m_nodes, m_wts = _quad.gauss_legendre_panels(np.pi / 2, 3 * np.pi / 2, panels)
-    beta_m = xi_difference(theta, m_nodes) - m_nodes[None, :]
-    minus = psi(m_nodes[None, :], beta_m) / _one_minus_cos(m_nodes)[None, :] ** 2
-    split = lemma_functional_split(bdry, M=M, panels=panels)
-    tau = 2.0 * np.pi
-    assert close(split.A_plus,
-                 tau * np.dot(a_wts, np.cos(a_nodes) * np.mean(ratio * zp[:, None], 0)))
-    assert close(split.B_plus, tau * np.dot(a_wts, np.mean(ratio, 0)))
-    assert close(split.minus_combined, tau * np.dot(m_wts, np.mean(minus, 0)))
-    assert close(split.plus_lower_bound,
-                 tau * np.dot(a_wts, np.mean(_one_minus_cos(beta), 0)))
+    got = _split_parts(lemma_functional_split(bdry, M=M))
+    for g, w in zip(got, _pointwise_split(bdry, M, 4)):
+        assert close(g, w)
 
     for t in (0.0, 1.1, 4.0):
         vals = _one_minus_cos(xi_difference(t, theta[1:])[0]) / _one_minus_cos(theta[1:])
         want = (float(bdry.xi_prime(t)) ** 2 + np.sum(vals)) / M
         assert close(boundary_normal_derivative(bdry, t, M=M), want)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 100])
+def test_split_adapts_to_high_order(n):
+    """zeta = (0.4/n) cos(n theta): the adaptive bands match a 64-panel rule
+    and the plain functional; at n = 100 a 4-panel rule is visibly short,
+    so the bands did not stop early."""
+    bdry = BoundaryHomeo(zeta_coeffs={n: 0.2 / n})
+    split = lemma_functional_split(bdry, M=512)
+    got = _split_parts(split)
+    for g, w in zip(got, _pointwise_split(bdry, 512, 64)):
+        assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
+    plain = lemma_functional(bdry, M=512)
+    assert abs(split.total - plain) <= 1e-9 * max(1.0, abs(plain))
+    if n == 100:
+        assert np.max(np.abs(_pointwise_split(bdry, 512, 4) - got)) > 1e-6
 
 
 def test_coarse_grids_are_refused():
@@ -352,8 +400,6 @@ def test_coarse_grids_are_refused():
         with pytest.raises(ValueError):
             boundary_normal_derivative(bdry, 0.3, M=M)
     assert lemma_functional(bdry, M=floor) >= -1e-9
-    with pytest.raises(ValueError):
-        lemma_functional_split(bdry, panels=0)
     with pytest.raises(ValueError):
         random_boundary_homeo(np.random.default_rng(0), n_max=0)
 
