@@ -12,13 +12,11 @@ from .annulus_core import (
     AnnulusMap,
     CoefficientRangeError,
     PolarJet,
-    conformal_modulus,
     evaluate,
     evaluate_rings,
     is_conformal,
     random_annulus_map,
     read_ahm,
-    rotate,
     solve_dirichlet,
     trace,
     write_ahm,
@@ -27,7 +25,6 @@ from .circle_means import (
     RadialProfile,
     energy_green,
     energy_quadrature,
-    initial_speed,
     means_closed_form,
     means_quadrature,
     operator_L,
@@ -50,7 +47,6 @@ from .disk_maps import (
 )
 from .identity_engine import (
     IdentityReport,
-    g_substitute,
     identity_lhs,
     identity_rhs,
     thin_annulus_bound,
@@ -64,17 +60,14 @@ from .minimal_surface import (
     lift,
     modulus_bound_check,
     phi_zeros,
-    second_dilatation,
 )
 from .nitsche_family import (
     NitscheParams,
     NoHarmonicHomeomorphism,
     check_initial_conditions,
     construct_harmonic_homeo,
-    double_cover_map,
     energy_minimizer,
     example_51_map,
-    hammering_map,
     nitsche_bound_holds,
     nitsche_map,
 )

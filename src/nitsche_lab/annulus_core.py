@@ -30,9 +30,7 @@ __all__ = [
     "evaluate_rings",
     "solve_dirichlet",
     "trace",
-    "conformal_modulus",
     "is_conformal",
-    "rotate",
     "random_annulus_map",
     "read_ahm",
     "write_ahm",
@@ -143,9 +141,12 @@ def _check_radius(
         raise AnnulusDomainError(f"{name}={bad} outside {lo}1, {m.R}{hi}")
 
 
+@np.errstate(over="raise")
 def _polar_jet(value, z_hz, zb_hzb, rho, eit, scalar: bool) -> PolarJet:
     """The jet at points rho e^{i theta} from h, z h_z and conj(z) h_zbar
     there, eit = e^{i theta}: polar derivatives, Jacobian and |grad h|^2.
+    A square beyond the float64 range raises FloatingPointError instead of
+    returning inf.
 
     The Wirtinger derivatives come in as their own termwise sums: forming
     h_zbar as (h_rho + i h_theta / rho) e^{i theta} / 2 cancels the a_n terms
@@ -187,7 +188,9 @@ def _ring_modes(m: AnnulusMap, rho):
 def evaluate(m: AnnulusMap, z) -> PolarJet:
     """Evaluate h and its polar/Wirtinger derivatives at z (scalar or array).
 
-    Closed-form termwise differentiation; exact up to rounding.
+    Closed-form termwise differentiation; exact up to rounding.  The one API
+    for scattered points; grids of circles go through evaluate_rings.  In
+    this package only _inner_trace and _trace_is_unimodular call it.
     """
     z_arr = np.asarray(z, dtype=complex)
     rho = np.abs(z_arr)
@@ -300,11 +303,6 @@ def solve_dirichlet(
     return AnnulusMap(R=R, log_a0=log_a0, log_b0=log_b0, terms=terms)
 
 
-def conformal_modulus(m: AnnulusMap) -> float:
-    """Conformal modulus of the domain annulus, log R."""
-    return math.log(m.R)
-
-
 def is_conformal(m: AnnulusMap) -> bool:
     """True iff the table is holomorphic: a0 = 0 and every b_n = 0.
 
@@ -317,17 +315,6 @@ def is_conformal(m: AnnulusMap) -> bool:
         abs(m.log_a0), float(np.max(np.abs(b))) if b.size else 0.0
     )
     return anti <= 1e-12 * scale
-
-
-def rotate(m: AnnulusMap, alpha: float) -> AnnulusMap:
-    """Post-compose with the rotation e^{i alpha}."""
-    w = cmath.exp(1j * alpha)
-    return AnnulusMap(
-        R=m.R,
-        log_a0=w * m.log_a0,
-        log_b0=w * m.log_b0,
-        terms={n: (w * a, w * b) for n, (a, b) in m.terms.items()},
-    )
 
 
 def random_annulus_map(

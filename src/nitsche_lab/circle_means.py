@@ -20,7 +20,6 @@ __all__ = [
     "QuadratureMean",
     "means_closed_form",
     "means_quadrature",
-    "initial_speed",
     "energy_green",
     "energy_quadrature",
     "operator_L",
@@ -98,14 +97,6 @@ def means_quadrature(m: AnnulusMap, rho: float, M: int) -> QuadratureMean:
     jet = evaluate_rings(m, rho, _quad.theta_grid(M))
     value = float(np.mean(np.abs(jet.value) ** 2))
     return QuadratureMean(value=value, exact=M >= _quad.exact_ring_size(m.order))
-
-
-def initial_speed(m: AnnulusMap) -> float:
-    """d/drho sqrt(U) at rho = 1, the initial speed of the evolution of circles."""
-    U, Ud, _ = _mode_sums(m, 1.0)
-    if not U > 0.0:
-        raise ValueError("initial speed undefined: U(1) = 0")
-    return float(Ud / (2.0 * math.sqrt(U)))
 
 
 def energy_green(m: AnnulusMap, rho: float) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _quad
 from .annulus_core import (
-    AnnulusMap, _check_radius, _inner_trace, _ring_modes, evaluate)
+    AnnulusMap, _check_radius, _inner_trace, _ring_modes)
 from .circle_means import _mode_sums
 from .nitsche_family import bound_margin
 from .quadratic_forms import circle_functionals
@@ -37,7 +37,6 @@ from .quadratic_forms import circle_functionals
 __all__ = [
     "IdentityReport",
     "ThinAnnulusResult",
-    "g_substitute",
     "weight_first",
     "weight_second",
     "identity_lhs",
@@ -45,27 +44,6 @@ __all__ = [
     "verify_identity",
     "thin_annulus_bound",
 ]
-
-
-def g_substitute(m: AnnulusMap, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g, g_z, g_zbar) for the factorization h = (z + 1/zbar)/2 * g.
-
-    The Wirtinger derivatives are computed by the product rule on
-    g = 2 zbar h / (|z|^2 + 1); the per-mode closed forms used by the double
-    integrals are a separate route (see _g_modes).
-    """
-    z_arr = np.asarray(z, dtype=complex)
-    jet = evaluate(m, z_arr)
-    s = np.abs(z_arr) ** 2 + 1.0
-    zb = np.conj(z_arr)
-    g = 2.0 * zb * jet.value / s
-    g_z = 2.0 * zb * jet.d_z / s - 2.0 * zb * zb * jet.value / s**2
-    g_zbar = (
-        2.0 * jet.value / s
-        + 2.0 * zb * jet.d_zbar / s
-        - 2.0 * np.abs(z_arr) ** 2 * jet.value / s**2
-    )
-    return g, g_z, g_zbar
 
 
 def _g_modes(m: AnnulusMap, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .annulus_core import AnnulusMap, _ring_modes, evaluate, evaluate_rings
+from .annulus_core import AnnulusMap, _ring_modes, evaluate_rings
 
 __all__ = [
     "MinimalLift",
@@ -29,7 +29,6 @@ __all__ = [
     "phi_zeros",
     "catenoid_modulus",
     "modulus_bound_check",
-    "second_dilatation",
 ]
 
 
@@ -365,9 +364,10 @@ def catenoid_modulus(R_star: float) -> float:
     """Conformal modulus of the catenoid slab with radii ratio R_star.
 
     log(R_star + sqrt(R_star^2 - 1)); the inverse of R -> (R + 1/R)/2.
+    ValueError unless 1 <= R_star < inf (NaN fails).
     """
-    if R_star < 1.0:
-        raise ValueError(f"radii ratio must be >= 1, got {R_star}")
+    if not 1.0 <= R_star < math.inf:
+        raise ValueError(f"radii ratio must be finite and >= 1, got {R_star}")
     return math.log(R_star + math.sqrt(R_star * R_star - 1.0))
 
 
@@ -377,17 +377,11 @@ def modulus_bound_check(
     """Sharp modulus bound for minimal graphs over an annulus.
 
     slack = catenoid_modulus(ratio) - surface_modulus; the bound holds iff
-    slack >= 0, with equality exactly for the catenoid slab.
+    slack >= 0, with equality exactly for the catenoid slab.  ValueError
+    unless surface_modulus is finite and catenoid_modulus accepts ratio.
     """
-    if ratio < 1.0:
-        raise ValueError(f"radii ratio must be >= 1, got {ratio}")
+    if not math.isfinite(surface_modulus):
+        raise ValueError(f"surface modulus must be finite, got {surface_modulus}")
     slack = catenoid_modulus(ratio) - surface_modulus
     return slack >= 0.0, slack
 
-
-def second_dilatation(m: AnnulusMap, z: complex) -> complex:
-    """mu = conj(h_zbar)/h_z; |mu| < 1 for orientation-preserving local homeos."""
-    jet = evaluate(m, z)
-    if abs(jet.d_z) == 0.0:
-        raise ZeroDivisionError(f"h_z vanishes at z={z}")
-    return complex(np.conj(jet.d_zbar) / jet.d_z)

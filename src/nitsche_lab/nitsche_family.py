@@ -1,9 +1,9 @@
 """Extremal maps and theorem-level predicates.
 
 The one-parameter family hbar_v = (1+v)/2 * z + (1-v)/2 * conj(z)^{-1}, the
-existence construction, the sharp bound predicate, the energy minimizer, the
-hammering limit map, the double-cover fold map, and the logarithmic
-near-counterexample with its (I)/(II)/(III) initial-condition checker.
+existence construction, the sharp bound predicate, the energy minimizer, and
+the logarithmic near-counterexample with its (I)/(II)/(III) initial-condition
+checker.
 """
 
 from __future__ import annotations
@@ -14,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annulus_core import (
-    AnnulusMap, CoefficientRangeError, _check_radius, _inner_trace, evaluate)
+    AnnulusMap, CoefficientRangeError, _check_radius, _inner_trace)
 from .circle_means import _mode_sums
 from .quadratic_forms import circle_functionals
 
 __all__ = [
     "NitscheParams",
-    "PiecewiseMap",
     "NoHarmonicHomeomorphism",
     "InitialConditions",
     "nitsche_map",
@@ -30,8 +29,6 @@ __all__ = [
     "mean_radii_ratio",
     "construct_harmonic_homeo",
     "energy_minimizer",
-    "hammering_map",
-    "double_cover_map",
     "example_51_map",
     "check_initial_conditions",
 ]
@@ -128,54 +125,6 @@ def energy_minimizer(R: float, R_star: float) -> AnnulusMap:
     a = (R * R_star - 1.0) / (R * R - 1.0)
     b = (R - R_star) * R / (R * R - 1.0)
     return AnnulusMap(R=R, terms={1: (a, b)})
-
-
-@dataclass(frozen=True)
-class PiecewiseMap:
-    """The hammering limit: angular projection inside T, critical map outside.
-
-    ``pieces`` lists (rho_lo, rho_hi, piece) where piece is either the tag
-    "angular_projection" or an AnnulusMap evaluated on [1, rho_hi].
-    """
-
-    R: float
-    pieces: tuple[tuple[float, float, object], ...]
-
-    def eval(self, z: complex) -> complex:
-        rho = abs(z)
-        if not (1.0 / self.R - 1e-12 <= rho <= self.R + 1e-12):
-            raise ValueError(f"|z|={rho} outside A(1/{self.R}, {self.R})")
-        for lo, hi, piece in self.pieces:
-            if lo - 1e-12 <= rho <= hi + 1e-12:
-                if piece == "angular_projection":
-                    return z / abs(z)
-                return complex(evaluate(piece, z).value)
-        raise ValueError(f"|z|={rho} not covered by any piece")
-
-
-def hammering_map(R: float) -> PiecewiseMap:
-    """Weak limit of minimizing homeomorphisms of A(1/R, R): inner collapse + hbar."""
-    if R <= 1:
-        raise ValueError(f"outer radius must exceed 1, got {R}")
-    critical = AnnulusMap(R=R, terms={1: (0.5, 0.5)})
-    return PiecewiseMap(
-        R=R,
-        pieces=((1.0 / R, 1.0, "angular_projection"), (1.0, R, critical)),
-    )
-
-
-def double_cover_map(r: float, R: float) -> AnnulusMap:
-    """Fold map (z/sqrt(rR) + sqrt(rR)/conj(z))/2, rescaled to A(1, R/r).
-
-    Degree 1 on circles but 2-to-1 radially: the Jacobian changes sign on
-    |z| = sqrt(R/r) of the normalized annulus.
-    """
-    if not (0 < r < R):
-        raise ValueError(f"need 0 < r < R, got ({r}, {R})")
-    q = R / r
-    return AnnulusMap(
-        R=q, terms={1: (0.5 / math.sqrt(q), 0.5 * math.sqrt(q))}
-    )
 
 
 def example_51_map(a: float, lam: float | None = None, R: float = 1000.0) -> AnnulusMap:

@@ -157,12 +157,13 @@ class ScanReport:
 def positivity_scan(
     n_lo: int = -40, n_hi: int = 40, rho_grid: np.ndarray | None = None
 ) -> ScanReport:
-    """Scan A_n, B_n, A_n B_n - C_n^2 over an (n, rho) grid, rho >= sqrt(7)."""
+    """Scan A_n, B_n, A_n B_n - C_n^2 over an (n, rho) grid of finite
+    rho >= sqrt(7); ValueError for any other grid point (NaN included)."""
     if rho_grid is None:
         rho_grid = np.arange(SQRT7, 25.0 + 1e-9, 1e-2)
     rho_grid = np.asarray(rho_grid, dtype=float)
-    if np.any(rho_grid < SQRT7 - 1e-12):
-        raise ValueError("scan grid must satisfy rho >= sqrt(7)")
+    if not np.all((rho_grid >= SQRT7 - 1e-12) & (rho_grid < np.inf)):  # NaN fails
+        raise ValueError("scan grid must be finite and satisfy rho >= sqrt(7)")
     ns = np.array([n for n in range(n_lo, n_hi + 1) if n not in (0, 1)])
     r = rho_grid[None, :]
     n = ns[:, None].astype(float)

@@ -11,7 +11,6 @@ from nitsche_lab import (
     energy_green,
     energy_quadrature,
     evaluate,
-    initial_speed,
     means_closed_form,
     means_quadrature,
     operator_L,
@@ -89,9 +88,10 @@ def test_ring_route_matches_evaluate_at_ring_points(n_max):
 
 
 def test_initial_speed_is_v():
+    # d/drho sqrt(U) = U'/(2 sqrt(U)) at rho = 1 is the family's speed v
     for v in (0.0, 0.25, 0.8):
-        m = nitsche_map(NitscheParams(v=v, R=2.0))
-        assert abs(initial_speed(m) - v) <= 1e-14
+        U, U_dot, _ = means_closed_form(nitsche_map(NitscheParams(v=v, R=2.0)), 1.0)
+        assert abs(U_dot / (2.0 * math.sqrt(U)) - v) <= 1e-14
 
 
 def test_energy_green_reference_values(critical, identity_map):

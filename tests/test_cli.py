@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: outputs, determinism, and exit codes."""
 
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -161,6 +162,13 @@ def test_verify_passes_and_is_deterministic(capsys):
         assert status == "PASS" and r.value <= r.threshold
 
 
+def test_verify_seed7_matches_the_committed_output(capsys):
+    # any change to a line of this output is a change to a reported number
+    assert main(["verify", "--seed", "7"]) == 0
+    golden = pathlib.Path(__file__).parent / "data" / "verify_seed7.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_verify_failure_exits_1(tmp_path, monkeypatch, capsys):
     def failing(rng, full):
         return [checks.CheckResult("forced_failure", 1.0, 0.0)]
@@ -234,7 +242,8 @@ def test_overflow_exits_3_with_one_line(tmp_path, capsys):
     write_map(p, AnnulusMap(R=math.e, terms={600: (1.0, 0.0)}))
     for argv in (["qforms", "--rho-grid", "3:1e40:2"],
                  ["example51", "--a", "0.9"],  # N log R = 1048.5 > the table cap
-                 ["means", "--map", str(p), "--rho-grid", "1:2:3"]):
+                 ["means", "--map", str(p), "--rho-grid", "1:2:3"],
+                 ["minsurf", "--map", str(p)]):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == 3

@@ -17,7 +17,6 @@ from nitsche_lab import (
     minimal_surface,
     phi_zeros,
     random_annulus_map,
-    second_dilatation,
 )
 from nitsche_lab.minimal_surface import _dilatation
 from nitsche_lab.nitsche_family import NitscheParams, nitsche_map
@@ -280,14 +279,13 @@ def test_holomorphic_map_lifts_flat(identity_map):
 
 
 def test_second_dilatation_of_critical_map(critical):
-    mu = second_dilatation(critical, 2.0)
-    assert abs(mu - (-0.25)) <= 1e-15
     res = lift(critical)
+    # mu = conj(h_zbar)/h_z = -1/z^2, so -1/4 at z = 2: the rho = 2 row at theta = 0
+    assert res.rho_grid[-1] == 2.0 and res.theta_grid[0] == 0.0
+    assert abs(res.mu[-1, 0] - (-0.25)) <= 1e-15
     # |mu| < 1 on the open annulus, -> 1 at the inner boundary
     assert np.nanmax(np.abs(res.mu[1:, :])) < 1.0
     assert np.allclose(np.abs(res.mu[0, :]), 1.0, atol=1e-12)
-    with pytest.raises(ZeroDivisionError):
-        second_dilatation(AnnulusMap(R=2.0, terms={1: (0.0, 1.0)}), 2.0)
 
 
 def test_phi_zero_parity_detection():
@@ -355,8 +353,9 @@ def test_catenoid_modulus_inverts_mean_radius():
     for t in (0.1, 1.0, 2.5):
         assert abs(catenoid_modulus(math.cosh(t)) - t) <= 1e-12
     assert catenoid_modulus(1.0) == 0.0
-    with pytest.raises(ValueError):
-        catenoid_modulus(0.5)
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            catenoid_modulus(bad)
 
 
 def test_modulus_bound_sharpness():
@@ -365,5 +364,7 @@ def test_modulus_bound_sharpness():
         assert holds and abs(slack) <= 1e-12
     holds, slack = modulus_bound_check(1.5, math.cosh(1.0))
     assert not holds and slack < 0.0
-    with pytest.raises(ValueError):
-        modulus_bound_check(1.0, 0.9)
+    for surface, ratio in ((1.0, 0.9), (math.nan, 1.5), (0.1, math.nan),
+                           (math.inf, 1.5), (0.1, math.inf)):
+        with pytest.raises(ValueError):
+            modulus_bound_check(surface, ratio)

@@ -12,10 +12,8 @@ from nitsche_lab import (
     NoHarmonicHomeomorphism,
     check_initial_conditions,
     construct_harmonic_homeo,
-    double_cover_map,
     energy_minimizer,
     example_51_map,
-    hammering_map,
     nitsche_bound_holds,
     nitsche_map,
     thin_annulus_bound,
@@ -23,6 +21,12 @@ from nitsche_lab import (
 from nitsche_lab.annulus_core import AnnulusDomainError, evaluate, random_annulus_map
 from nitsche_lab.circle_means import _mode_sums, means_closed_form
 from nitsche_lab.nitsche_family import bound_margin, mean_radii_ratio, nitsche_floor
+
+# The fold map (z/sqrt(rR) + sqrt(rR)/conj(z))/2 of A(r, R), r = 1 and R = 4,
+# rescaled to A(1, R/r): degree 1 on circles but 2-to-1 radially, its
+# Jacobian changes sign on |z| = sqrt(R/r) = 2.  A harmonic map that is no
+# homeomorphism, kept as a table for the checks that must refuse it.
+DOUBLE_COVER = AnnulusMap(R=4.0, terms={1: (0.25, 1.0)})
 
 
 def test_bound_truth_table():
@@ -74,18 +78,8 @@ def test_minimizer_equals_construction():
         energy_minimizer(2.0, 1.2)
 
 
-def test_hammering_map_pieces():
-    pm = hammering_map(2.0)
-    z = 0.7 * np.exp(0.3j)
-    assert abs(pm.eval(z) - z / abs(z)) <= 1e-15
-    z = 1.5 * np.exp(0.3j)
-    assert abs(pm.eval(z) - 0.5 * (z + 1.0 / np.conj(z))) <= 1e-15
-    with pytest.raises(ValueError):
-        pm.eval(3.0)
-
-
 def test_double_cover_jacobian_sign_change():
-    m = double_cover_map(1.0, 4.0)  # normalized to A(1, 4), fold at rho = 2
+    m = DOUBLE_COVER  # normalized to A(1, 4), fold at rho = 2
     j_in = evaluate(m, 1.5).jacobian
     j_fold = evaluate(m, 2.0).jacobian
     j_out = evaluate(m, 3.0).jacobian

@@ -68,6 +68,13 @@ def test_positivity_scan_report():
     )
 
 
+def test_scan_grid_refusals():
+    # NaN fails the guard: it used to scan to min_A = nan
+    for bad in (2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sqrt"):
+            positivity_scan(n_lo=2, n_hi=3, rho_grid=np.array([bad, 3.0]))
+
+
 def test_scan_uses_the_coefficient_formulas():
     # negative indices too: the scan's discriminant is that of qform_coefficients
     grid = np.array([SQRT7, 3.0, 7.5])
