@@ -141,19 +141,24 @@ def _check_radius(
         raise AnnulusDomainError(f"{name}={bad} outside {lo}1, {m.R}{hi}")
 
 
-@np.errstate(over="raise")
-def _polar_jet(value, z_hz, zb_hzb, rho, eit, scalar: bool) -> PolarJet:
-    """The jet at points rho e^{i theta} from h, z h_z and conj(z) h_zbar
-    there, eit = e^{i theta}: polar derivatives, Jacobian and |grad h|^2.
-    A square beyond the float64 range raises FloatingPointError instead of
-    returning inf.
+def _wirtinger(z_hz, zb_hzb, rho, eit):
+    """(h_z, h_zbar) at points rho e^{i theta} from z h_z and conj(z) h_zbar
+    there, eit = e^{i theta}; the one copy of both quotients.
 
     The Wirtinger derivatives come in as their own termwise sums: forming
     h_zbar as (h_rho + i h_theta / rho) e^{i theta} / 2 cancels the a_n terms
     and loses about rho^2 of relative accuracy on a nearly holomorphic map.
     """
-    d_z = z_hz / (rho * eit)
-    d_zbar = zb_hzb * eit / rho
+    return z_hz / (rho * eit), zb_hzb * eit / rho
+
+
+@np.errstate(over="raise")
+def _polar_jet(value, z_hz, zb_hzb, rho, eit, scalar: bool) -> PolarJet:
+    """The jet at points rho e^{i theta} from h, z h_z and conj(z) h_zbar
+    there, eit = e^{i theta}: polar derivatives, Jacobian and |grad h|^2.
+    A square beyond the float64 range raises FloatingPointError instead of
+    returning inf."""
+    d_z, d_zbar = _wirtinger(z_hz, zb_hzb, rho, eit)
     d_rho = (z_hz + zb_hzb) / rho
     d_theta = 1j * (z_hz - zb_hzb)
     jac = np.abs(d_z) ** 2 - np.abs(d_zbar) ** 2
@@ -212,12 +217,46 @@ def evaluate_rings(m: AnnulusMap, rho, theta) -> PolarJet:
     """evaluate on the polar grid rho_i e^{i theta_j}, shaped
     rho.shape + theta.shape; rho (scalar or array) must lie in [1, R] and
     theta be finite."""
+    rho, theta = _ring_grid(m, rho, theta)
+    return _rings_jet(_ring_modes(m, rho), m.mode_arrays()[0], m.log_a0 / 2.0, rho, theta)
+
+
+def _ring_grid(m: AnnulusMap, rho, theta) -> tuple[np.ndarray, np.ndarray]:
+    """rho and theta as float arrays, refused unless rho lies in [1, R] and
+    theta is finite."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
     _check_radius(m, rho, "[1, R]")
     if not np.all(np.isfinite(theta)):
         raise AnnulusDomainError("non-finite angle theta")
-    return _rings_jet(_ring_modes(m, rho), m.mode_arrays()[0], m.log_a0 / 2.0, rho, theta)
+    return rho, theta
+
+
+def _rings_wirtinger(m: AnnulusMap, rho, theta) -> tuple[np.ndarray, np.ndarray]:
+    """(h_z, h_zbar) on the polar grid rho_i e^{i theta_j}: the d_z and d_zbar
+    of evaluate_rings(m, rho, theta), bit for bit, from the two derivative
+    products alone, without h, the polar derivatives, J or |grad h|^2."""
+    rho, theta = _ring_grid(m, rho, theta)
+    _, _, ZH, ZBH = _ring_modes(m, rho)
+    _, r, eit, z_hz, zb_hzb = _ring_derivatives(
+        ZH, ZBH, m.mode_arrays()[0], m.log_a0 / 2.0, rho, theta)
+    return _wirtinger(z_hz, zb_hzb, r, eit)
+
+
+def _ring_derivatives(ZH, ZBH, ns: np.ndarray, half_a0: complex,
+                      rho: np.ndarray, theta: np.ndarray):
+    """(ph, r, eit, z h_z, conj(z) h_zbar) on the polar grid rho_i e^{i
+    theta_j} from the per-circle derivative modes ZH, ZBH of exponents ns:
+    ph holds e^{i n theta} (modes x angles), r is rho broadcast over the
+    angles and eit = e^{i theta}.  Each mode is a column per radius times
+    e^{i n theta} per angle, so each derivative sum is one (radii x modes) @
+    (modes x angles) product instead of a sum over a (modes x radii x angles)
+    table; half_a0 is mode 0 of both."""
+    ph = np.exp(1j * np.multiply.outer(ns, theta))
+    r = rho.reshape(rho.shape + (1,) * theta.ndim)  # broadcasts over the angles
+    z_hz = np.tensordot(ZH, ph, 1) + half_a0
+    zb_hzb = half_a0 + np.tensordot(ZBH, ph, 1)
+    return ph, r, np.exp(1j * theta), z_hz, zb_hzb
 
 
 def _rings_jet(modes, ns: np.ndarray, half_a0: complex, rho: np.ndarray,
@@ -225,18 +264,12 @@ def _rings_jet(modes, ns: np.ndarray, half_a0: complex, rho: np.ndarray,
     """The jet on the polar grid rho_i e^{i theta_j} from the per-circle modes
     (h0, H, ZH, ZBH) of exponents ns, as _ring_modes returns them, with
     half_a0 the mode 0 of both derivatives.  The one ring synthesis of either
-    table kind: each mode is a column per radius times e^{i n theta} per
-    angle, so h, z h_z and conj(z) h_zbar are each one (radii x modes) @
-    (modes x angles) product instead of a sum over a (modes x radii x angles)
-    table."""
+    table kind: _ring_derivatives forms z h_z and conj(z) h_zbar, and h is
+    one more product of the same kind."""
     h0, H, ZH, ZBH = modes
-    ph = np.exp(1j * np.multiply.outer(ns, theta))
-    r = rho.reshape(rho.shape + (1,) * theta.ndim)  # broadcasts over the angles
+    ph, r, eit, z_hz, zb_hzb = _ring_derivatives(ZH, ZBH, ns, half_a0, rho, theta)
     value = np.tensordot(H, ph, 1) + np.reshape(h0, r.shape)
-    z_hz = np.tensordot(ZH, ph, 1) + half_a0
-    zb_hzb = half_a0 + np.tensordot(ZBH, ph, 1)
-    return _polar_jet(value, z_hz, zb_hzb, r, np.exp(1j * theta),
-                      rho.ndim == 0 and theta.ndim == 0)
+    return _polar_jet(value, z_hz, zb_hzb, r, eit, rho.ndim == 0 and theta.ndim == 0)
 
 
 def trace(m: AnnulusMap, rho: float) -> dict[int, complex]:

@@ -133,11 +133,18 @@ def _write_text(cfg: argparse.Namespace, text: str) -> None:
 
 def _csv(header: list[str], table) -> str:
     """CSV text of a (rows, len(header)) table of floats, each cell as _fmt
-    writes it, formatted by one % operation."""
-    cells = np.asarray(table, dtype=float)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    body = (line * cells.shape[0]) % tuple(cells.ravel().tolist())
-    return ",".join(header) + "\n" + body
+    writes it.  Each column formats each of its distinct values once (a grid
+    repeats its radii and angles, and a constant column is one value), and
+    one % operation lays the formatted cells out in lines.  Values are told
+    apart by their bits, so -0.0 stays "-0" beside 0.0."""
+    cells = np.asarray(table, dtype=float).reshape(-1, len(header))
+    text = np.empty(cells.shape, dtype=object)
+    for j, col in enumerate(cells.T):
+        bits, where = np.unique(col.view(np.uint64), return_inverse=True)
+        text[:, j] = np.array(["%.17g" % x for x in bits.view(float).tolist()],
+                              dtype=object)[where]
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + (line * cells.shape[0]) % tuple(text.ravel().tolist())
 
 
 def cmd_means(cfg: argparse.Namespace) -> int:

@@ -26,6 +26,7 @@ QuadratureNotConverged when the band is not converged at its panel cap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -153,7 +154,12 @@ class BoundaryHomeo:
     def is_monotone(self) -> bool:
         """xi' > 0 everywhere.  xi' has mean 1, so it is positive exactly when it
         has no zero; _quad.nonvanishing_samples decides that with the bound
-        |xi''| <= sum 2 n^2 |z_n|, and an undecided xi' reads False."""
+        |xi''| <= sum 2 n^2 |z_n|, and an undecided xi' reads False.  The
+        table is frozen, so the verdict is decided once per instance."""
+        return self._monotone
+
+    @functools.cached_property
+    def _monotone(self) -> bool:
         lip = sum(2.0 * n * n * abs(c) for n, c in self.zeta_coeffs.items())
         return _quad.nonvanishing_samples(
             lambda M: 1.0 + self._on_grid(M, 1), lip, self.order)[1]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .annulus_core import AnnulusMap, _ring_modes, evaluate_rings
+from .annulus_core import AnnulusMap, _ring_modes, _rings_wirtinger
 
 __all__ = [
     "MinimalLift",
@@ -103,9 +103,13 @@ def phi_zeros(m: AnnulusMap) -> list[tuple[complex, int]]:
     multiplicity.
     """
     roots = _factor_roots(m)
-    if roots is None:
-        return []
-    inside = roots[_on_annulus(roots, m.R)]
+    return [] if roots is None else _annulus_zeros(roots, m.R)
+
+
+def _annulus_zeros(roots: np.ndarray, R: float) -> list[tuple[complex, int]]:
+    """phi_zeros from the factor roots: those on the closed annulus, with
+    clusters within 1e-6 merged into one zero of summed multiplicity."""
+    inside = roots[_on_annulus(roots, R)]
     clusters: list[list[complex]] = []
     for r in inside:
         for cl in clusters:
@@ -169,35 +173,41 @@ def _max_turn(g: np.ndarray) -> float:
 
 
 def _zero_free_branch(m: AnnulusMap, zeros, rho, theta, start=None):
-    """(jet, phi, g, q g) on the polar grid rho e^{i theta}, marched along
-    axis 0 from one evaluate_rings.
+    """(h_z, h_zbar, phi, g, q g) on the polar grid rho e^{i theta}, marched
+    along axis 0 from one _rings_wirtinger.
 
     g continues sqrt(phi / q^2) with q = prod (z - z0)^(k/2) over the known
     zeros of phi, so the march follows the zero-free quotient through them,
-    and q g continues sqrt(phi) (0 where q = 0).  start is g at the first
+    and q g continues sqrt(phi) (0 where q = 0).  With no known zeros q = 1
+    and g marches phi itself: dividing by 1 + 0j changes only the signs of
+    zero parts, which sway the march only at an exactly orthogonal step, and
+    MAX_TURN refuses those.  start is g at the first
     row, or None for the g that makes q g the principal sqrt(phi) there.
     BranchError if g turns by more than MAX_TURN between two nodes, where
     the path is too coarse for the march to decide a step.
     """
-    jet = evaluate_rings(m, rho, theta)
-    phi = jet.d_z * np.conj(jet.d_zbar)
-    q = np.ones_like(phi)
+    d_z, d_zbar = _rings_wirtinger(m, rho, theta)
+    phi = d_z * np.conj(d_zbar)
+    q, quotient = None, phi
     if zeros:
         z = np.multiply.outer(rho, np.exp(1j * np.asarray(theta)))
+        q = np.ones_like(phi)
         for z0, k in zeros:
             q = q * (z - z0) ** (k // 2)
-    q2 = q * q
-    zero = q2 == 0
-    quotient = np.where(zero, 0.0, phi / np.where(zero, 1.0, q2))
+        q2 = q * q
+        zero = q2 == 0
+        quotient = np.where(zero, 0.0, phi / np.where(zero, 1.0, q2))
     if start is None:
-        start = _principal_start(complex(phi[0])) / q[0] if q[0] else 0.0
+        start = _principal_start(complex(phi[0]))
+        if q is not None:
+            start = start / q[0] if q[0] else 0.0
     g = _march_branch(quotient, start)
     turn = _max_turn(g)
     if turn > MAX_TURN:
         raise BranchError(
             f"sqrt(phi) turns by {math.degrees(turn):.1f} degrees between path "
             f"nodes (limit {math.degrees(MAX_TURN):g}): path too coarse")
-    return jet, phi, g, q * g
+    return d_z, d_zbar, phi, g, g if q is None else q * g
 
 
 def _node_path(edges: np.ndarray, panels, singular: np.ndarray):
@@ -274,6 +284,7 @@ class MinimalLift:
         return float(np.max(self.w) - np.min(self.w))
 
 
+@np.errstate(over="raise")
 def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
     """Path-integrate w over a polar grid with branch tracking.
 
@@ -284,16 +295,19 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
     Gauss-Legendre nodes in log(rho) (RAY_PANEL_DENSITY panels per unit of
     N log(rho)).  On both paths the panels are halved towards the zeros of
     phi off the annulus (ZERO_CLEARANCE), so the ray costs no more at large R
-    unless such a zero lies near it.  Both paths are evaluated by
-    evaluate_rings.  The known even-order zeros of phi are
-    divided out first, so the branch passes through them.  w comes from
+    unless such a zero lies near it.  On both paths only h_z and h_zbar are
+    formed, by annulus_core._rings_wirtinger: the d_z and d_zbar of
+    evaluate_rings, bit for bit.  The roots of phi's two factors are found
+    once, and the known even-order zeros of phi are divided out first, so
+    the branch passes through them.  w comes from
     dw = 2 Re(w_z dz).  A flat map (phi identically 0: h holomorphic or
     antiholomorphic) takes the same path, with w and sqrt(phi) 0 and flat
     set.  Raises NoLiftError on an odd-order zero of phi and
     BranchError if the branch turns by more than MAX_TURN between two path
     nodes, or if the branch or the lift fails to close around the annulus
-    (loop defect above 1e-8 relative), and ValueError for n_rho < 2 or
-    n_theta < 1.
+    (loop defect above 1e-8 relative), ValueError for n_rho < 2 or
+    n_theta < 1, and FloatingPointError where a value, square or sum leaves
+    the float64 range.
     """
     if n_rho < 2:
         raise ValueError(f"lift needs n_rho >= 2 radii, got {n_rho}")
@@ -302,13 +316,13 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
     rho_grid = np.linspace(1.0, m.R, n_rho)
     theta_grid = _quad.theta_grid(n_theta)
 
-    zeros = phi_zeros(m)
+    roots = _factor_roots(m)
+    flat = roots is None
+    zeros = [] if flat else _annulus_zeros(roots, m.R)
     if any(mult % 2 == 1 for _, mult in zeros):
         bad = [(z0, k) for z0, k in zeros if k % 2 == 1]
         raise NoLiftError(f"odd-order zeros of phi in the annulus: {bad}")
 
-    roots = _factor_roots(m)
-    flat = roots is None
     # zeros z0 of phi off the annulus, where sqrt(phi) may branch: on the
     # circle at theta = arg z0 - i log|z0| (and 2 pi either side), on a ray
     # at t = log|z0| + i (the ray's angle to z0)
@@ -320,7 +334,7 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
     # around the unit circle, calibrated at z = 1
     th, wts_T, coarse_T = _node_path(
         np.append(theta_grid, 2.0 * np.pi), max(2, 256 // n_theta), on_circle)
-    _, _, g_T, s_T = _zero_free_branch(m, zeros, 1.0, th)
+    _, _, _, g_T, s_T = _zero_free_branch(m, zeros, 1.0, th)
     if abs(g_T[-1] - g_T[0]) > 0.5 * abs(g_T[0]) + 1e-30:
         raise BranchError("sqrt(phi) branch does not close around the unit circle")
     w_T = _running_integral(0.0, 2.0 * (s_T * np.exp(1j * th)).real, wts_T, coarse_T)
@@ -338,13 +352,13 @@ def lift(m: AnnulusMap, n_rho: int = 33, n_theta: int = 64) -> MinimalLift:
         t_grid, panels, log_r + 1j * to_ray.min(axis=1, initial=np.pi))
     r = np.exp(t)
     r[coarse_r] = rho_grid
-    jet, phi, _, s = _zero_free_branch(
+    d_z, d_zbar, phi, _, s = _zero_free_branch(
         m, zeros, r, theta_grid, g_T[coarse_T[:-1]])
     dw = 2.0 * (-1j * s * np.exp(1j * theta_grid)).real
     w = _running_integral(w_T[:-1], dw, wts_t * r, coarse_r)
 
     # diagnostics on the coarse rows of the ray path
-    d_z, d_zbar, s_grid = jet.d_z[coarse_r], jet.d_zbar[coarse_r], s[coarse_r]
+    d_z, d_zbar, s_grid = d_z[coarse_r], d_zbar[coarse_r], s[coarse_r]
     scale = float(np.max(np.abs(d_z) ** 2 + np.abs(d_zbar) ** 2))
     residual = float(np.max(np.abs((-1j * s_grid) ** 2 + phi[coarse_r])))
     return MinimalLift(

@@ -50,15 +50,19 @@ class NoHarmonicHomeomorphism(ValueError):
 
 @dataclass(frozen=True)
 class NitscheParams:
-    """Initial speed v >= 0 and domain outer radius R > 1."""
+    """Initial speed v >= 0 and domain outer radius R > 1, both finite: a
+    non-finite v or R raises CoefficientRangeError, as AnnulusMap does."""
 
     v: float
     R: float
 
     def __post_init__(self) -> None:
-        if self.v < 0:
+        if not (math.isfinite(self.v) and math.isfinite(self.R)):
+            raise CoefficientRangeError(
+                f"initial speed and outer radius must be finite, got v={self.v}, R={self.R}")
+        if not self.v >= 0:
             raise ValueError(f"initial speed must be nonnegative, got {self.v}")
-        if self.R <= 1:
+        if not self.R > 1:
             raise ValueError(f"outer radius must exceed 1, got {self.R}")
 
 

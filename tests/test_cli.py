@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: outputs, determinism, and exit codes."""
 
+import hashlib
 import math
 import pathlib
 import warnings
@@ -146,6 +147,44 @@ def test_csv_cells_match_the_per_cell_format():
     assert cli._csv(header, table.tolist()) == cli._csv(header, table)
 
 
+def _csv_one_percent(header, table):
+    # the formatter _csv replaced: every cell by one % operation
+    cells = np.asarray(table, dtype=float)
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    body = (line * cells.shape[0]) % tuple(cells.ravel().tolist())
+    return ",".join(header) + "\n" + body
+
+
+def test_csv_matches_the_one_percent_formatter():
+    # repeats, both zeros (each also in a column of the other), NaN with its
+    # sign and payload bits set, infinities and subnormals
+    odd_nan = np.array([0xFFF8000000000001], dtype=np.uint64).view(float)[0]
+    values = [0.0, -0.0, 1.0 / 3.0, math.nan, -math.nan, odd_nan, math.inf,
+              -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, 0.1]
+    rng = np.random.default_rng(5)
+    table = rng.choice(values, size=(60, 5))
+    table[:, 3] = -0.0  # a constant column
+    header = ["a", "b", "c", "d", "e"]
+    assert cli._csv(header, table) == _csv_one_percent(header, table)
+    rho, theta = np.meshgrid(np.linspace(1.0, 2.0, 5), np.linspace(-1.0, 1.0, 7),
+                             indexing="ij")
+    grid = np.column_stack([rho.ravel(), theta.ravel(), np.sin(rho * theta).ravel()])
+    assert cli._csv(["r", "t", "s"], grid) == _csv_one_percent(["r", "t", "s"], grid)
+    assert cli._csv(["r", "t", "s"], np.empty((0, 3))) == "r,t,s\n"
+
+
+def test_minsurf_csv_is_pinned(tmp_path, capsys):
+    # recorded when every cell was formatted and the lift formed the full jet;
+    # neither the per-value formatting nor the two-field jet may move a digit
+    out = tmp_path / "minsurf.csv"
+    assert main(["minsurf", "--nitsche-v", "0.5", "--R", "3.5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(" OK\n")
+    data = out.read_bytes()
+    assert len(data) == 230236
+    assert hashlib.sha256(data).hexdigest() == (
+        "6c71a9d3f8dcb0e8bb2f24faac918b162cb480237ed4577d692805ea4fd4c761")
+
+
 def test_verify_passes_and_is_deterministic(capsys):
     assert main(["verify", "--seed", "7"]) == 0
     first = capsys.readouterr().out
@@ -221,6 +260,9 @@ def test_domain_errors_exit_3(critical_path, tmp_path, capsys):
                  ["qforms", "--rho-grid", "3:inf:3"],
                  ["qforms", "--rho-grid", "nan:5:3"],
                  ["minsurf", "--map", str(inf_path), "--out", str(tmp_path / "s.csv")],
+                 ["minsurf", "--nitsche-v", "nan"],
+                 ["minsurf", "--nitsche-v", "0.3", "--R", "nan"],
+                 ["minsurf", "--nitsche-v", "inf"],
                  ["construct", "--R", "2", "--Rstar", "nan"],
                  ["construct", "--R", "inf", "--Rstar", "5"]):
         assert main(argv) == 3

@@ -152,6 +152,28 @@ def test_boundary_homeo_monotonicity_guard():
             bdry.require_monotone()
 
 
+def test_monotonicity_is_decided_once_per_map(monkeypatch):
+    # a disk_chain item asks five times: both functionals and three normal
+    # derivatives each require a monotone map
+    calls = []
+    samples = _quad.nonvanishing_samples
+    monkeypatch.setattr(_quad, "nonvanishing_samples",
+                        lambda *args: calls.append(args) or samples(*args))
+    bdry = random_boundary_homeo(np.random.default_rng(3))
+    lemma_functional(bdry, M=256)
+    lemma_functional_split(bdry)
+    for theta in (0.0, 1.0, 2.0):
+        boundary_normal_derivative(bdry, theta)
+    assert bdry.is_monotone() and len(calls) == 1
+    steep = BoundaryHomeo(zeta_coeffs={1: 0.6})
+    for _ in range(2):
+        with pytest.raises(NonMonotoneError):
+            steep.require_monotone()
+    assert len(calls) == 2
+    # the cached verdict is no field: a fresh copy of the table stays equal
+    assert BoundaryHomeo(zeta_coeffs=dict(bdry.zeta_coeffs)) == bdry
+
+
 def test_poisson_extension_of_annulus_map(critical):
     f = poisson_extend(critical)
     assert abs(f.coeffs[1] - 1.0) <= 1e-15  # c_1 = a_1 + b_1

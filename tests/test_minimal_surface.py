@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nitsche_lab import (
     AnnulusMap,
+    annulus_core,
     BranchError,
     NoLiftError,
     catenoid_modulus,
@@ -333,6 +335,58 @@ def test_lift_matches_loop_march(critical, monkeypatch):
         ref = lift(m)
         for name in ("w", "sqrt_phi", "mu", "conformality_residual", "loop_residual"):
             assert np.array_equal(getattr(res, name), getattr(ref, name), equal_nan=True)
+
+
+def _lift_path_grids(m, monkeypatch):
+    # the (rho, theta) grids lift(m) forms h_z and h_zbar on, in call order
+    grids = []
+
+    def recording(m_, rho, theta):
+        grids.append((rho, theta))
+        return annulus_core._rings_wirtinger(m_, rho, theta)
+    with monkeypatch.context() as patch:
+        patch.setattr(minimal_surface, "_rings_wirtinger", recording)
+        lift(m)
+    return grids
+
+
+def test_lift_paths_form_the_full_jets_derivatives(critical, monkeypatch):
+    # the circle path and the ray path of two lifts, on A(1, 2) like the tables
+    double_zero, _ = _double_zero_table(1.7 * np.exp(2j * np.pi * 5 / 64))
+    grids = [g for m in (critical, double_zero) for g in _lift_path_grids(m, monkeypatch)]
+    assert len(grids) == 4 and [np.ndim(rho) for rho, _ in grids] == [0, 1, 0, 1]
+    order8 = random_annulus_map(np.random.default_rng(8), n_max=8, R=2.0, log_scale=1.0)
+    for m in (critical, double_zero, order8):
+        for rho, theta in grids:
+            jet = evaluate_rings(m, rho, theta)
+            for lean, full in zip(annulus_core._rings_wirtinger(m, rho, theta),
+                                  (jet.d_z, jet.d_zbar)):
+                assert lean.shape == full.shape
+                assert np.array_equal(lean.view(np.uint64), full.view(np.uint64))
+
+
+def test_lift_finds_the_roots_once(critical, monkeypatch):
+    calls = []
+    factor_roots = minimal_surface._factor_roots
+    monkeypatch.setattr(minimal_surface, "_factor_roots",
+                        lambda m: calls.append(m) or factor_roots(m))
+    double_zero, _ = _double_zero_table(1.7 * np.exp(2j * np.pi * 5 / 64))
+    for m in (critical, double_zero):
+        calls.clear()
+        lift(m)
+        assert calls == [m]
+    assert [k for _, k in phi_zeros(double_zero)] == [2]
+
+
+def test_lift_overflow_raises_without_warning():
+    # |h_z|^2 of z^600 overflows at rho = 2 on A(1, e); h_zbar = 0, so phi
+    # stays finite and the refusal comes from the squares of the residual's
+    # scale, outside the jet
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FloatingPointError):
+            lift(AnnulusMap(R=math.e, terms={600: (1.0, 0.0)}))
+    assert not caught
 
 
 def test_lift_refusals():

@@ -50,6 +50,14 @@ def test_family_coefficients():
         NitscheParams(v=0.5, R=1.0)
 
 
+@pytest.mark.parametrize("v, R", [(math.nan, 2.0), (0.3, math.nan), (math.inf, 2.0),
+                                  (0.3, math.inf), (-math.inf, 2.0), (0.3, -math.inf)])
+def test_family_refuses_non_finite_parameters(v, R):
+    # NaN fails every comparison, so it must not slip past the range guards
+    with pytest.raises(CoefficientRangeError, match="finite"):
+        NitscheParams(v=v, R=R)
+
+
 def test_construct_maps_boundaries():
     m = construct_harmonic_homeo(2.0, 1.5)
     a, b = m.terms[1]
